@@ -1,31 +1,25 @@
-"""Serving benchmark: batching, replica scaling, and overload behavior.
+"""Serving benchmark: batching and overload behavior.
 
 Measures the serving stack under closed-loop concurrent load — the
-workload an HTTP front end produces — in three regimes:
+workload an HTTP front end produces — in two regimes:
 
-* **unbatched vs batched** (single process) — with the logits cache off
-  each lone request pays its own full eval-mode forward; through the
+* **unbatched vs batched** — with the logits cache off each lone
+  request pays its own full eval-mode forward; through the
   :class:`MicroBatcher` concurrent callers coalesce and each batch pays
   **one** forward shared by up to ``max_batch_size`` requests.  The
   batched/unbatched ratio is floored at 2.0x.
-* **replica scaling** — the :class:`ReplicaFrontend` at 1/2/4 worker
-  processes, all attached to one shared-memory logits table, driven at
-  concurrency ``REPLICA_CONCURRENCY``.  The headline is
-  ``replica_speedup``: best replica-tier rps over the committed batched
-  rps, floored at 5.0x by ``check_bench.py`` (serving from the shared
-  precomputed table turns ~5 ms compute-bound requests into
-  microsecond lookups, which is where the floor comes from — not from
-  core-parallelism this 1-core CI box doesn't have).
 * **overload** — submissions far beyond a deliberately tiny admission
-  queue.  The point is *graceful degradation*: some requests shed
-  (:class:`Overloaded`), every accepted request still answers, and the
-  accepted p99 stays bounded instead of the whole tail collapsing.
+  queue, against the serving path itself: a :class:`MicroBatcher` over
+  a default (logits-cached) engine.  The point is *graceful
+  degradation*: some requests shed (:class:`Overloaded`), every
+  accepted request still answers, and the accepted p99 stays bounded
+  instead of the whole tail collapsing.
 
-Batched and replica paths are bitwise identical to unbatched ones
-(asserted before any timing).  Run ``python benchmarks/bench_serving.py``
-to refresh ``BENCH_serving.json``; ``scripts/check_bench.py`` guards it
-against regression.  The pytest entries are ``perf``-marked and excluded
-from tier-1.
+Batched results are bitwise identical to unbatched ones (asserted
+before any timing).  Run ``python benchmarks/bench_serving.py`` to
+refresh ``BENCH_serving.json``; ``scripts/check_bench.py`` guards it
+against regression.  The pytest entries are ``perf``-marked and
+excluded from tier-1.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ from repro.models.gcn import GCN
 from repro.serving.artifacts import ModelSpec, export_model_artifact
 from repro.serving.batching import MicroBatcher, Overloaded
 from repro.serving.engine import PredictionEngine
-from repro.serving.frontend import ReplicaFrontend
 from repro.serving.metrics import ServingMetrics
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -56,8 +49,6 @@ NODES_PER_REQUEST = 8
 MAX_BATCH_SIZE = 16
 MAX_WAIT_S = 0.002
 
-REPLICA_COUNTS = (1, 2, 4)
-REPLICA_CONCURRENCY = 64
 OVERLOAD_QUEUE = 64
 
 
@@ -139,36 +130,6 @@ def _assert_parity(engine: PredictionEngine, rng: np.random.Generator) -> None:
             )
 
 
-def _assert_replica_parity(frontend: ReplicaFrontend, engine: PredictionEngine,
-                           rng: np.random.Generator) -> None:
-    """Replica fan-out must be bitwise identical to in-process serving."""
-    for _ in range(12):
-        nodes = rng.integers(0, engine.num_nodes, size=NODES_PER_REQUEST)
-        assert np.array_equal(
-            frontend.predict_nodes(nodes, timeout=30), engine.predict_nodes(nodes)
-        ), "replica prediction diverged from single-process"
-
-
-def _bench_replicas(path: Path, graph, engine: PredictionEngine, per_thread: int) -> Dict[str, object]:
-    scaling: Dict[str, object] = {}
-    for count in REPLICA_COUNTS:
-        with ReplicaFrontend(
-            path, graph, replicas=count, max_queue=8192,
-            max_batch_size=MAX_BATCH_SIZE * 2, max_wait_s=MAX_WAIT_S,
-        ) as frontend:
-            _assert_replica_parity(frontend, engine, np.random.default_rng(23))
-            result = _drive(
-                _make_requests(
-                    graph.num_nodes, per_thread, np.random.default_rng(13),
-                    concurrency=REPLICA_CONCURRENCY,
-                ),
-                lambda nodes: frontend.predict_nodes(nodes, timeout=60),
-            )
-            result["replicas"] = count
-            scaling[str(count)] = result
-    return scaling
-
-
 def _bench_overload(path: Path, graph, submitters: int, per_thread: int) -> Dict[str, object]:
     """Offer far more than a tiny admission queue accepts; measure shape.
 
@@ -176,10 +137,11 @@ def _bench_overload(path: Path, graph, submitters: int, per_thread: int) -> Dict
     *must* happen; the accepted requests are then collected and their
     p99 measured — bounded queue, bounded tail.
     """
-    with ReplicaFrontend(
-        path, graph, replicas=2, max_queue=OVERLOAD_QUEUE,
-        max_batch_size=MAX_BATCH_SIZE, max_wait_s=MAX_WAIT_S,
-    ) as frontend:
+    engine = PredictionEngine(path, graph)
+    with MicroBatcher(
+        engine.predict_many, max_batch_size=MAX_BATCH_SIZE,
+        max_wait_s=MAX_WAIT_S, max_queue=OVERLOAD_QUEUE,
+    ) as batcher:
         futures: List = []
         shed = 0
         lock = threading.Lock()
@@ -191,7 +153,7 @@ def _bench_overload(path: Path, graph, submitters: int, per_thread: int) -> Dict
                 nodes = rng.integers(0, graph.num_nodes, size=NODES_PER_REQUEST)
                 started = time.perf_counter()
                 try:
-                    future = frontend.submit(("nodes", nodes.tolist()))
+                    future = batcher.submit(nodes)
                 except Overloaded:
                     with lock:
                         shed += 1
@@ -247,11 +209,6 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
             )
         batch_summary = metrics.snapshot()["histograms"].get("batch_size", {})
 
-        # Replica tier: shared-memory logits behind 1/2/4 worker processes.
-        replica_per_thread = 25 if quick else 80
-        replica_scaling = _bench_replicas(path, graph, engine, replica_per_thread)
-        best_replica_rps = max(entry["rps"] for entry in replica_scaling.values())
-
         # Overload: offered load far beyond a tiny admission queue.
         overload = _bench_overload(
             path, graph, submitters=8, per_thread=250 if quick else 1000
@@ -267,9 +224,6 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
         "batched": batched,
         "mean_batch_size": batch_summary.get("mean", 1.0),
         "batched_speedup": batched["rps"] / unbatched["rps"],
-        "replica_concurrency": REPLICA_CONCURRENCY,
-        "replica_scaling": replica_scaling,
-        "replica_speedup": best_replica_rps / batched["rps"],
         "overload": overload,
     }
 
@@ -291,10 +245,6 @@ def test_batched_throughput_beats_unbatched():
     assert results["batched_speedup"] >= 2.0, (
         f"batched serving is only {results['batched_speedup']:.2f}x unbatched "
         f"at concurrency {CONCURRENCY} (acceptance floor 2.0x)"
-    )
-    assert results["replica_speedup"] >= 5.0, (
-        f"replica serving is only {results['replica_speedup']:.2f}x batched "
-        f"at concurrency {REPLICA_CONCURRENCY} (acceptance floor 5.0x)"
     )
     overload = results["overload"]
     assert overload["shed"] > 0, "overload run never shed — queue bound not engaged"

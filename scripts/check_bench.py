@@ -6,9 +6,8 @@ Six benches are guarded, each against its committed baseline JSON:
 * **trainstep** (``BENCH_trainstep.json``) — fused-kernel vs legacy-tape
   train-step speedups;
 * **serving** (``BENCH_serving.json``) — micro-batched vs unbatched
-  prediction throughput at concurrency 8, the replica-tier scaling
-  curve (1/2/4 shared-memory worker processes at concurrency 64), and
-  the overload/shedding sanity run;
+  prediction throughput at concurrency 8, and the overload/shedding
+  sanity run;
 * **obs** (``BENCH_obs.json``) — training-time overhead of the enabled
   observability layer (event log + per-epoch RDD diagnostics), for both
   the full-batch and the neighbor-sampled training loop;
@@ -27,8 +26,7 @@ a fresh speedup may drift down to ``TOLERANCE`` (default 0.75) times the
 committed value before the check fails.  Each bench also keeps an
 absolute acceptance bound regardless of the baseline: 1.5x for the
 trainstep headline (deep taped regime), 2.0x for the serving
-batched/unbatched ratio plus 5.0x for the replica tier over the
-committed batched rps (with a shed-engaged, bounded-tail overload
+batched/unbatched ratio (with a shed-engaged, bounded-tail overload
 gate), at most 1.05x enabled-vs-disabled wall time
 for obs, for sampling at least 5x sampler speedup with the sampled
 peak RSS at most half of full-batch, and for streaming at least 5x
@@ -84,11 +82,6 @@ HEADLINE_FLOOR = 1.5
 # Micro-batched serving must stay at least this much faster than
 # unbatched at the benchmark's concurrency, no matter the baseline.
 SERVING_FLOOR = 2.0
-
-# The replica tier (shared-memory logits behind worker processes) must
-# stay at least this much faster than the committed batched single
-# process — the PR-10 scale-out acceptance floor.
-REPLICA_FLOOR = 5.0
 
 # Overload sanity: accepted requests must keep a bounded tail while the
 # excess sheds.  The bound is deliberately loose (the admission queue of
@@ -158,12 +151,11 @@ def compare_serving(
 ) -> List[str]:
     """Regression messages for the serving bench (empty when it holds).
 
-    Three families of gate: the batched/unbatched speedup (relative band
-    + absolute floor, as before), the replica-tier speedup over the
-    committed *batched* rps (relative band + the 5.0x scale-out floor),
-    and the overload sanity gate — the bench's saturation run must have
-    actually shed (the admission bound engaged), still accepted traffic,
-    and kept the accepted p99 bounded.
+    Two families of gate: the batched/unbatched speedup (relative band
+    + absolute floor), and the overload sanity gate — the bench's
+    saturation run must have actually shed (the admission bound
+    engaged), still accepted traffic, and kept the accepted p99
+    bounded.
     """
     failures = []
     floor = baseline["batched_speedup"] * tolerance
@@ -178,23 +170,6 @@ def compare_serving(
             f"serving: batched speedup {speedup:.2f}x is below the "
             f"{SERVING_FLOOR:.1f}x acceptance floor"
         )
-
-    replica_speedup = fresh.get("replica_speedup")
-    if replica_speedup is None:
-        failures.append("serving: replica_speedup missing from fresh benchmark run")
-    else:
-        committed = baseline.get("replica_speedup")
-        if committed is not None and replica_speedup < committed * tolerance:
-            failures.append(
-                f"serving: replica speedup {replica_speedup:.2f}x fell below "
-                f"{committed * tolerance:.2f}x ({tolerance:.0%} of committed "
-                f"{committed:.2f}x)"
-            )
-        if replica_speedup < REPLICA_FLOOR:
-            failures.append(
-                f"serving: replica speedup {replica_speedup:.2f}x is below the "
-                f"{REPLICA_FLOOR:.1f}x acceptance floor"
-            )
 
     overload = fresh.get("overload")
     if not overload:
@@ -230,10 +205,8 @@ def run_check_serving(quick: bool = False, tolerance: float = TOLERANCE) -> List
         f"unbatched {fresh['unbatched']['rps']:.0f} rps)"
     )
     print(
-        f"{'replicas':11s} fresh {fresh.get('replica_speedup', float('nan')):5.2f}x  "
-        f"committed {baseline.get('replica_speedup', float('nan')):5.2f}x  "
-        f"(shed {overload.get('shed', 0)} of {overload.get('submitted', 0)}, "
-        f"accepted p99 {overload.get('accepted_p99_ms', 0.0):.0f} ms)"
+        f"{'overload':11s} shed {overload.get('shed', 0)} of {overload.get('submitted', 0)}, "
+        f"accepted p99 {overload.get('accepted_p99_ms', 0.0):.0f} ms"
     )
     return compare_serving(fresh, baseline, tolerance=tolerance)
 
@@ -601,28 +574,14 @@ def test_compare_obs_flags_overrun():
 
 
 def test_compare_serving_flags_regressions():
-    baseline = {"batched_speedup": 6.0, "replica_speedup": 10.0}
+    baseline = {"batched_speedup": 6.0}
     good_overload = {"shed": 100, "accepted": 50, "accepted_p99_ms": 80.0}
-    ok = {
-        "batched_speedup": 5.0,
-        "replica_speedup": 9.0,
-        "overload": dict(good_overload),
-    }
+    ok = {"batched_speedup": 5.0, "overload": dict(good_overload)}
     assert compare_serving(ok, baseline) == []
     band = compare_serving({**ok, "batched_speedup": 4.0}, baseline)
     assert len(band) == 1 and "75%" in band[0]
     floor = compare_serving({**ok, "batched_speedup": 1.5}, baseline)
     assert len(floor) == 2 and any("acceptance floor" in m for m in floor)
-    replica_band = compare_serving({**ok, "replica_speedup": 7.0}, baseline)
-    assert len(replica_band) == 1 and "replica speedup" in replica_band[0]
-    replica_floor = compare_serving({**ok, "replica_speedup": 3.0}, baseline)
-    assert len(replica_floor) == 2 and any(
-        "5.0x acceptance floor" in m for m in replica_floor
-    )
-    missing_replicas = compare_serving(
-        {"batched_speedup": 5.0, "overload": dict(good_overload)}, baseline
-    )
-    assert len(missing_replicas) == 1 and "replica_speedup missing" in missing_replicas[0]
     never_shed = compare_serving(
         {**ok, "overload": {**good_overload, "shed": 0}}, baseline
     )

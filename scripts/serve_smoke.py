@@ -5,27 +5,24 @@ Covers the full train→export→serve→query path in a few seconds:
 
 1. train a tiny GCN on a scaled-down Cora stand-in,
 2. export a serving artifact,
-3. start a :class:`PredictionServer` on a free port — single-process by
-   default, or a replica tier with ``--replicas N``,
+3. start a :class:`PredictionServer` on a free port,
 4. assert 200s (and sane payloads) from ``/healthz``, ``/predict``
-   (transductive + inductive), and ``/metrics``.
-
-With ``--replicas`` the smoke additionally exports a *second* artifact
-and performs one rolling swap via ``POST /admin/reload`` **while a
-background client hammers /predict** — asserting zero downtime: every
-in-flight request during the swap answers 200, and predictions after
-the swap match the new artifact.
+   (transductive + inductive), and ``/metrics``,
+5. export a *second* artifact and swap it in via ``POST /admin/reload``
+   **while background clients hammer /predict** — asserting zero
+   downtime: every request during the swap answers 200, and
+   predictions after the swap match the new artifact.
 
 Exit status 0 on success; any assertion or HTTP failure is fatal.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import tempfile
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -42,7 +39,6 @@ from repro.serving import (  # noqa: E402
     ModelSpec,
     PredictionEngine,
     PredictionServer,
-    ReplicaFrontend,
     export_model_artifact,
 )
 from repro.training.trainer import Trainer  # noqa: E402
@@ -89,11 +85,12 @@ def _smoke_endpoints(server: PredictionServer, engine: PredictionEngine, graph) 
     print(f"metrics ok: {metrics['counters']}")
 
 
-def _rolling_swap_under_load(server: PredictionServer, second_path: Path, graph) -> None:
-    """One /admin/reload while a background client hammers /predict.
+def _reload_under_load(server: PredictionServer, second_path: Path, graph) -> None:
+    """One /admin/reload while background clients hammer /predict.
 
-    Every response during the swap must be 200 — the rolling reload
-    swaps replicas one at a time, so the tier never stops serving.
+    Every response during the swap must be 200 — the new engine is
+    built beside the old one and swapped in by reference, so serving
+    never stops.
     """
     stop = threading.Event()
     statuses: list = []
@@ -113,6 +110,9 @@ def _rolling_swap_under_load(server: PredictionServer, second_path: Path, graph)
     clients = [threading.Thread(target=hammer) for _ in range(4)]
     for client in clients:
         client.start()
+    deadline = time.monotonic() + 10
+    while len(statuses) < 20 and time.monotonic() < deadline:
+        time.sleep(0.01)  # let the load build before swapping
     try:
         status, reloaded = _post(f"{server.url}/admin/reload", {"artifact": str(second_path)})
         assert status == 200 and reloaded["artifact_version"] == 1, reloaded
@@ -120,11 +120,11 @@ def _rolling_swap_under_load(server: PredictionServer, second_path: Path, graph)
         stop.set()
         for client in clients:
             client.join(timeout=30)
-    assert not errors, f"request failed during rolling swap: {errors[0]}"
+    assert not errors, f"request failed during reload: {errors[0]}"
     assert statuses and all(s == 200 for s in statuses), (
-        f"non-200 during rolling swap: {sorted(set(statuses))} over {len(statuses)} requests"
+        f"non-200 during reload: {sorted(set(statuses))} over {len(statuses)} requests"
     )
-    print(f"rolling swap ok: {len(statuses)} requests served during reload, all 200")
+    print(f"reload ok: {len(statuses)} requests served during the swap, all 200")
 
     # Post-swap predictions must come from the *new* artifact.
     engine_v2 = PredictionEngine(second_path, graph)
@@ -136,43 +136,26 @@ def _rolling_swap_under_load(server: PredictionServer, second_path: Path, graph)
     print(f"post-swap predictions match v2: {predict['labels']}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="smoke the replica tier with N worker processes "
-             "(includes a rolling artifact swap under load; 0 = single process)",
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
     graph = cora_like(seed=0, scale=0.1)
     model = GCN(graph.num_features, graph.num_classes, np.random.default_rng(0))
     Trainer(max_epochs=20, patience=10).fit(model, graph)
+    # A second (differently-initialized, briefly trained) model to swap in.
+    model_v2 = GCN(graph.num_features, graph.num_classes, np.random.default_rng(1))
+    Trainer(max_epochs=5, patience=5).fit(model_v2, graph)
 
     with tempfile.TemporaryDirectory() as tmp:
         dataset = {"name": "cora", "kwargs": {"seed": 0, "scale": 0.1}, "dtype": None}
         path = export_model_artifact(
             Path(tmp) / "smoke.rddart", model, ModelSpec("gcn"), graph, dataset=dataset
         )
+        second_path = export_model_artifact(
+            Path(tmp) / "smoke-v2.rddart", model_v2, ModelSpec("gcn"), graph, dataset=dataset
+        )
         engine = PredictionEngine(path, graph)
-        if args.replicas > 0:
-            # A second (differently-initialized, briefly trained) artifact
-            # to swap in under load.
-            model_v2 = GCN(graph.num_features, graph.num_classes, np.random.default_rng(1))
-            Trainer(max_epochs=5, patience=5).fit(model_v2, graph)
-            second_path = export_model_artifact(
-                Path(tmp) / "smoke-v2.rddart", model_v2, ModelSpec("gcn"), graph,
-                dataset=dataset,
-            )
-            frontend = ReplicaFrontend(path, graph, replicas=args.replicas)
-            with PredictionServer(frontend=frontend, port=0).start() as server:
-                _smoke_endpoints(server, engine, graph)
-                status, health = _get(f"{server.url}/healthz")
-                assert health["replicas"] == args.replicas, health
-                _rolling_swap_under_load(server, second_path, graph)
-        else:
-            with PredictionServer(engine, port=0).start() as server:
-                _smoke_endpoints(server, engine, graph)
+        with PredictionServer(engine, port=0).start() as server:
+            _smoke_endpoints(server, engine, graph)
+            _reload_under_load(server, second_path, graph)
     print("serve smoke: PASS")
     return 0
 

@@ -182,15 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how long the batcher holds a request while coalescing (milliseconds)",
     )
     serve.add_argument(
-        "--batching", action=argparse.BooleanOptionalAction, default=True,
-        help="micro-batch concurrent requests (--no-batching serves each alone)",
-    )
-    serve.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="serve from N worker processes sharing one shared-memory "
-             "logits table (0 = single-process engine)",
-    )
-    serve.add_argument(
         "--queue-size", type=int, default=1024,
         help="admission bound: requests queued beyond this are shed with 429",
     )
@@ -361,40 +352,18 @@ def _cmd_serve(args) -> int:
         kwargs["seed"] = args.seed
     graph = load_dataset(name, dtype=dataset.get("dtype"), **kwargs)
 
-    if args.replicas > 0:
-        from repro.serving.frontend import ReplicaFrontend
-
-        frontend = ReplicaFrontend(
-            artifact,
-            graph,
-            replicas=args.replicas,
-            max_queue=args.queue_size,
-            max_batch_size=args.max_batch_size,
-            max_wait_s=args.max_wait_ms / 1000.0,
-        )
-        server = PredictionServer(
-            frontend=frontend,
-            host=args.host,
-            port=args.port,
-            request_timeout_s=args.request_timeout,
-        )
-        mode = f"replicas={args.replicas}"
-    else:
-        engine = PredictionEngine(artifact, graph)
-        server = PredictionServer(
-            engine,
-            host=args.host,
-            port=args.port,
-            batching=args.batching,
-            max_batch_size=args.max_batch_size,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            max_queue=args.queue_size,
-            request_timeout_s=args.request_timeout,
-        )
-        mode = f"batching={'on' if args.batching else 'off'}"
+    server = PredictionServer(
+        PredictionEngine(artifact, graph),
+        host=args.host,
+        port=args.port,
+        max_batch_size=args.max_batch_size,
+        max_wait_s=args.max_wait_ms / 1000.0,
+        max_queue=args.queue_size,
+        request_timeout_s=args.request_timeout,
+    )
     print(
         f"serving {artifact.model_kind} on {server.url} "
-        f"(graph {graph.name}: {graph.num_nodes} nodes; {mode})"
+        f"(graph {graph.name}: {graph.num_nodes} nodes)"
     )
     server.serve_forever()
     return 0

@@ -12,14 +12,12 @@ to traffic::
     engine = PredictionEngine("model.rddart", graph)
     PredictionServer(engine, port=8080).serve_forever()
 
-or, from the command line, ``repro export`` + ``repro serve``.  For
-multi-process serving — N replica workers sharing one shared-memory
-logits table behind a bounded admission queue — build a
-:class:`ReplicaFrontend` instead of an engine and hand it to the server
-(``repro serve --replicas N``)::
-
-    frontend = ReplicaFrontend("model.rddart", graph, replicas=4)
-    PredictionServer(frontend=frontend, port=8080).serve_forever()
+or, from the command line, ``repro export`` + ``repro serve``.  There is
+one serving path: HTTP handler → :class:`MicroBatcher` (the only
+admission queue) → one in-process :class:`PredictionEngine`.
+``POST /admin/reload`` swaps in a new artifact atomically —
+:meth:`PredictionEngine.rebuild` prepares the new engine on the same
+graph, then the server swaps its reference.
 """
 
 from repro.serving.artifacts import (
@@ -36,14 +34,11 @@ from repro.serving.artifacts import (
 from repro.serving.batching import BatcherClosed, MicroBatcher, Overloaded
 from repro.serving.cache import TieredCache
 from repro.serving.engine import PredictionEngine, ServingError
-from repro.serving.frontend import ReplicaFrontend
 from repro.serving.refresh import BackgroundRefresher, RowRefresher
-from repro.serving.replica import ReplicaError, SharedLogitsTable
 from repro.serving.metrics import (
     MetricRegistry,
     ServingMetrics,
     WindowHistogram,
-    merge_counter_snapshots,
     prometheus_text,
 )
 from repro.serving.server import PredictionServer
@@ -60,14 +55,10 @@ __all__ = [
     "Overloaded",
     "PredictionEngine",
     "PredictionServer",
-    "ReplicaError",
-    "ReplicaFrontend",
     "ServingError",
     "ServingMetrics",
-    "SharedLogitsTable",
     "TieredCache",
     "WindowHistogram",
-    "merge_counter_snapshots",
     "export_ensemble_artifact",
     "export_model_artifact",
     "graph_fingerprint",

@@ -49,10 +49,10 @@ class BatcherClosed(ReproError):
 class Overloaded(ReproError):
     """A request was shed: the serving queue is at capacity.
 
-    Raised by :meth:`MicroBatcher.submit` (and the replica frontend's
-    admission queue) instead of enqueueing past the bound.  HTTP maps it
-    to ``429 Too Many Requests`` with a ``Retry-After`` hint of
-    :attr:`retry_after_s` (rounded up to whole seconds).
+    Raised by :meth:`MicroBatcher.submit` instead of enqueueing past
+    the bound.  HTTP maps it to ``429 Too Many Requests`` with a
+    ``Retry-After`` hint of :attr:`retry_after_s` (rounded up to whole
+    seconds).
     """
 
     def __init__(self, message: str, retry_after_s: float = 0.05):

@@ -20,11 +20,16 @@ no sockets, no queues, just "artifact + graph in, logits out":
   tier, so repeated queries (health probes, hot entities) cost a dict
   lookup and cold scan bursts cannot evict the hot set.
 
-In a multi-replica deployment the transductive table is computed once
-and placed in ``multiprocessing.shared_memory``; worker processes call
-:meth:`install_logits_table` to serve from the shared copy instead of
-paying one table (and one forward) per process — see
-:mod:`repro.serving.replica`.
+Request payloads are validated here, in one place, for every caller
+(the HTTP server passes the decoded JSON through unchanged): node and
+neighbor ids must be integers — JSON ``true``, ``1.5`` and ``"1"`` are
+refused, not coerced — inside ``[0, num_nodes)``, and query features
+must be numeric, finite and of the graph's feature width.  Anything
+else raises :class:`ServingError`.
+
+:meth:`PredictionEngine.rebuild` builds a fresh engine for another
+artifact on the same graph with the same options — the server's
+in-process reload.
 
 Both paths run under ``no_grad`` and are deterministic: the same query
 against the same artifact returns bitwise-identical logits, which is the
@@ -66,7 +71,12 @@ from repro.graph.subgraph import induced_subgraph
 from repro.models.base import softmax_rows
 from repro.obs.metrics import MetricRegistry
 from repro.sampling import layerwise_neighborhood
-from repro.serving.artifacts import ModelArtifact, graph_fingerprint, load_artifact
+from repro.serving.artifacts import (
+    ArtifactError,
+    ModelArtifact,
+    graph_fingerprint,
+    load_artifact,
+)
 from repro.serving.cache import TieredCache
 from repro.serving.refresh import RowRefresher
 
@@ -131,6 +141,11 @@ class PredictionEngine:
         seed: int = 0,
         streaming: bool = False,
     ):
+        self._options = dict(
+            verify_graph=verify_graph, cache_logits=cache_logits, fanout=fanout,
+            num_hops=num_hops, inductive_cache_size=inductive_cache_size,
+            hot_cache_size=hot_cache_size, seed=seed, streaming=streaming,
+        )
         if not isinstance(artifact, ModelArtifact):
             artifact = load_artifact(artifact)
         self.artifact = artifact
@@ -217,6 +232,20 @@ class PredictionEngine:
             if "k_hops" in spec.options:
                 return int(spec.options["k_hops"])
         return 2
+
+    def rebuild(self, artifact: Union[ModelArtifact, str, Path]) -> "PredictionEngine":
+        """A fresh engine serving ``artifact`` on this engine's graph.
+
+        Same options as this engine; the graph check runs (unless this
+        engine opted out) and the logits table is computed before the
+        engine is returned, so swapping it in costs a reference
+        assignment.  The new engine starts with an empty inductive
+        cache.
+        """
+        engine = PredictionEngine(artifact, self.graph, **self._options)
+        if engine.cache_logits:
+            engine.logits_table()
+        return engine
 
     # ------------------------------------------------------------------
     # Streaming: graph deltas, versioning, refresh
@@ -317,31 +346,6 @@ class PredictionEngine:
     # ------------------------------------------------------------------
     # Transductive path
     # ------------------------------------------------------------------
-    def install_logits_table(self, table: np.ndarray) -> None:
-        """Serve transductive queries from a precomputed logits table.
-
-        The replica tier's entry point: worker processes attach the one
-        shared-memory copy of the table (computed once by the parent)
-        instead of each paying a full forward pass and holding a private
-        copy.  The array is installed as-is — zero-copy for a
-        shared-memory view; callers pass read-only views so a bug in one
-        replica cannot corrupt its siblings.
-        """
-        if self.streaming:
-            raise ServingError(
-                "streaming engines maintain their own table; "
-                "install_logits_table is for static replicas"
-            )
-        table = np.asarray(table)
-        if table.ndim != 2 or table.shape[0] != self.graph.num_nodes:
-            raise ServingError(
-                f"logits table must have shape ({self.graph.num_nodes}, k), "
-                f"got {table.shape}"
-            )
-        with self._lock:
-            self._table = table
-            self.cache_logits = True
-
     def logits_table(self) -> np.ndarray:
         """Per-node logits over the whole serving graph (cached)."""
         if self.streaming:
@@ -358,16 +362,57 @@ class PredictionEngine:
             self._table = table
         return table
 
-    def _check_nodes(self, node_ids: NodeIds) -> np.ndarray:
-        nodes = np.asarray(node_ids, dtype=np.int64)
-        if nodes.ndim != 1 or nodes.size == 0:
-            raise ServingError(f"nodes must be a nonempty 1-D id list, got shape {nodes.shape}")
-        if nodes.min() < 0 or nodes.max() >= self.graph.num_nodes:
-            raise ServingError(
-                f"node ids must be in [0, {self.graph.num_nodes}), got "
-                f"[{nodes.min()}, {nodes.max()}]"
+    def _check_nodes(self, node_ids: NodeIds, name: str = "nodes") -> np.ndarray:
+        """``node_ids`` as an int64 array, or :class:`ServingError`.
+
+        Integer arrays and lists of integers only: a bool, float or
+        string id is refused rather than coerced, and the range check
+        runs before the int64 conversion so an oversized JSON integer
+        is a client error, not an overflow.
+        """
+        if isinstance(node_ids, np.ndarray):
+            valid = node_ids.dtype.kind in "iu" and node_ids.ndim == 1
+        else:
+            valid = isinstance(node_ids, (list, tuple, range)) and all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                for i in node_ids
             )
-        return nodes
+        if not valid or len(node_ids) == 0:
+            raise ServingError(f"{name} must be a nonempty list of integer node ids")
+        if isinstance(node_ids, np.ndarray):
+            low, high = node_ids.min(), node_ids.max()
+        else:
+            low, high = min(node_ids), max(node_ids)
+        if low < 0 or high >= self.graph.num_nodes:
+            raise ServingError(
+                f"{name} must be in [0, {self.graph.num_nodes}), got [{low}, {high}]"
+            )
+        return np.asarray(node_ids, dtype=np.int64)
+
+    def _check_features(self, features) -> np.ndarray:
+        """A query feature vector at the artifact dtype, or :class:`ServingError`."""
+        if isinstance(features, np.ndarray):
+            numeric = features.dtype.kind in "biuf"
+        else:
+            numeric = isinstance(features, (list, tuple)) and all(
+                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                for v in features
+            )
+        array = None
+        if numeric:
+            try:
+                # Casting to float32 can overflow to inf (refused below).
+                with np.errstate(over="ignore"):
+                    array = np.asarray(features, dtype=self.artifact.dtype)
+            except OverflowError:  # an integer beyond any float's range
+                pass
+        width = self.graph.num_features
+        if array is None or array.shape != (width,):
+            shape = array.shape if array is not None else type(features).__name__
+            raise ServingError(f"features must be {width} numbers, got {shape}")
+        if not np.isfinite(array).all():
+            raise ServingError("features must be finite")
+        return array
 
     def predict_nodes(self, node_ids: NodeIds) -> np.ndarray:
         """Logits rows for known nodes, shape ``(len(node_ids), k)``."""
@@ -428,12 +473,15 @@ class PredictionEngine:
         """
         with self._lock:
             graph = self.graph
-            features = np.asarray(features, dtype=self.artifact.dtype)
-            if features.shape != (graph.num_features,):
-                raise ServingError(
-                    f"features must have shape ({graph.num_features},), got {features.shape}"
-                )
-            neighbors = np.unique(self._check_nodes(neighbor_ids))
+            features = self._check_features(features)
+            neighbors = np.unique(self._check_nodes(neighbor_ids, "neighbors"))
+            if self._ensemble is not None and self._member_models is None:
+                try:
+                    self._member_models = self.artifact.member_models(graph)
+                except ArtifactError as error:
+                    # A table-only ensemble: the client asked for
+                    # something this artifact cannot answer.
+                    raise ServingError(str(error)) from error
 
             key = self._inductive_key(features, neighbors)
             cached = self._inductive_cache.get(key)
@@ -463,8 +511,6 @@ class PredictionEngine:
         # (the fresh subgraph would otherwise normalize Â at float64).
         query_graph = query_graph.astype(self.artifact.dtype)
         if self._ensemble is not None:
-            if self._member_models is None:
-                self._member_models = self.artifact.member_models(graph)
             weights = self._ensemble.weights
             rows = np.stack(
                 [model.predict_logits(query_graph)[-1] for model in self._member_models]

@@ -19,7 +19,6 @@ __all__ = [
     "MetricRegistry",
     "ServingMetrics",
     "WindowHistogram",
-    "merge_counter_snapshots",
     "prometheus_text",
 ]
 
@@ -35,16 +34,3 @@ class ServingMetrics(MetricRegistry):
         self.observe("batch_size", size)
         self.inc("batches_total")
 
-
-def merge_counter_snapshots(snapshots) -> dict:
-    """Sum the ``counters`` sections of several registry snapshots.
-
-    The replica tier keeps one registry per process; a fleet-wide view
-    (bench reports, the scaling-curve tooling) sums the counters —
-    histograms are windowed per process and are deliberately not merged.
-    """
-    merged: dict = {}
-    for snapshot in snapshots:
-        for name, value in (snapshot or {}).get("counters", {}).items():
-            merged[name] = merged.get(name, 0) + value
-    return merged

@@ -1,11 +1,10 @@
-"""Stdlib HTTP front end for the prediction engine or replica tier.
+"""Stdlib HTTP front end for the prediction engine.
 
 A :class:`PredictionServer` wires the pieces of the serving subsystem
-together: a compute backend — either a single in-process
-:class:`~repro.serving.engine.PredictionEngine` (optionally behind a
-:class:`~repro.serving.batching.MicroBatcher`) or a multi-process
-:class:`~repro.serving.frontend.ReplicaFrontend` — plus a
-:class:`~repro.serving.metrics.ServingMetrics` sink.  The API is JSON
+together along one path — HTTP handler →
+:class:`~repro.serving.batching.MicroBatcher` (the only admission
+queue) → one in-process :class:`~repro.serving.engine.PredictionEngine`
+— plus a :class:`~repro.serving.metrics.ServingMetrics` sink.  The API is JSON
 over ``http.server.ThreadingHTTPServer`` with keep-alive (HTTP/1.1;
 every response carries ``Content-Length``) and these routes:
 
@@ -15,17 +14,25 @@ every response carries ``Content-Length``) and these routes:
     inductive prediction for one unseen node.  ``"return_probs": true``
     adds softmax probabilities.
 ``POST /admin/reload``
-    ``{"artifact": "/path/to/v2.rddart"}`` → rolling zero-downtime
-    artifact swap (replica serving only).
+    ``{"artifact": "/path/to/v2.rddart"}`` → atomic in-process artifact
+    swap: a fresh engine is built, verified against the serving graph
+    and given its logits table, then replaces the old one under a lock.
+    Each batch runs entirely on one engine, the old engine's inductive
+    cache leaves with it, and a failed reload (400) leaves the old
+    artifact serving.
 ``GET /healthz``
-    Liveness + model identity (used by load balancers and CI smoke).
+    Liveness + model identity + ``artifact_version`` (used by load
+    balancers and CI smoke).
 ``GET /metrics``
-    The metrics snapshot: request/error/batch/shed counters plus
-    latency and batch-size percentile summaries.
+    The metrics snapshot: request/error/batch/shed counters, the
+    engine's ``inductive_cache_*`` counters, and latency and
+    batch-size percentile summaries.
 
 Failure modes are typed, bounded, and observable:
 
-* client errors (bad JSON, unknown ids, wrong shapes) → 400;
+* client errors (bad JSON, bad ``Content-Length``, ids that are not
+  in-range JSON integers, non-numeric or non-finite features, wrong
+  shapes, inductive queries to a table-only artifact) → 400;
 * **overload** — the bounded admission queue is full — → 429 with a
   ``Retry-After`` header (and the ``http_429`` counter), so saturation
   sheds excess load instead of queueing without bound;
@@ -46,7 +53,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import List, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -55,84 +62,58 @@ from repro.errors import ReproError
 from repro.models.base import softmax_rows
 from repro.serving.batching import MicroBatcher, Overloaded
 from repro.serving.engine import PredictionEngine, ServingError
-from repro.serving.frontend import ReplicaFrontend
 from repro.serving.metrics import ServingMetrics, prometheus_text
 
 
 class PredictionServer:
-    """An HTTP prediction service around one engine or replica tier.
+    """An HTTP prediction service around one engine.
 
     Parameters
     ----------
     engine:
-        A loaded :class:`PredictionEngine` for single-process serving.
-        Exactly one of ``engine`` and ``frontend`` must be given.
+        The loaded :class:`PredictionEngine` to serve.  ``POST
+        /admin/reload`` replaces it (see :meth:`handle_reload`).
     host / port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`).
-    frontend:
-        A :class:`ReplicaFrontend` for multi-process serving.  The
-        server adopts its metrics registry (one ``/metrics`` view) and
-        closes it on :meth:`close`.
-    batching:
-        Route transductive requests through a :class:`MicroBatcher`
-        (engine mode only — the frontend does its own IPC batching);
-        when off, handler threads call the engine on a small compute
-        pool so timeouts still apply.
     max_batch_size / max_wait_s / max_queue:
         Micro-batching and admission-control knobs, forwarded to the
-        batcher.
+        batcher that serves transductive requests.
     request_timeout_s:
         Deadline for any single prediction; expiry returns 503 and
         frees the handler thread.
     metrics:
-        Metrics sink; defaults to the frontend's registry (frontend
-        mode) or a fresh one.
+        Metrics sink; defaults to a fresh one.
     """
 
     def __init__(
         self,
-        engine: Optional[PredictionEngine] = None,
+        engine: PredictionEngine,
         host: str = "127.0.0.1",
         port: int = 8080,
         *,
-        frontend: Optional[ReplicaFrontend] = None,
-        batching: bool = True,
         max_batch_size: int = 32,
         max_wait_s: float = 0.002,
         max_queue: int = 1024,
         request_timeout_s: float = 30.0,
         metrics: Optional[ServingMetrics] = None,
     ):
-        if (engine is None) == (frontend is None):
-            raise ReproError("pass exactly one of engine= and frontend=")
         if request_timeout_s <= 0:
             raise ReproError(f"request_timeout_s must be > 0, got {request_timeout_s}")
         self.engine = engine
-        self.frontend = frontend
+        self.artifact_version = 0
+        self._reload_lock = threading.Lock()
         self.request_timeout_s = float(request_timeout_s)
-        if metrics is not None:
-            self.metrics = metrics
-        elif frontend is not None:
-            self.metrics = frontend.metrics
-        else:
-            self.metrics = ServingMetrics()
-        self.batcher: Optional[MicroBatcher] = None
-        self._compute: Optional[ThreadPoolExecutor] = None
-        if engine is not None:
-            if batching:
-                self.batcher = MicroBatcher(
-                    engine.predict_many,
-                    max_batch_size=max_batch_size,
-                    max_wait_s=max_wait_s,
-                    max_queue=max_queue,
-                    metrics=self.metrics,
-                )
-            # Direct engine calls (inductive, and transductive with
-            # batching off) run on this pool so the handler can abandon
-            # them at the deadline instead of blocking forever.
-            self._compute = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="serving-compute"
-            )
+        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.batcher = MicroBatcher(
+            self._predict_many,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+            max_queue=max_queue,
+            metrics=self.metrics,
+        )
+        # Inductive queries run on this pool so the handler can abandon
+        # them at the deadline instead of blocking forever.
+        self._compute = ThreadPoolExecutor(max_workers=4, thread_name_prefix="serving-compute")
         handler = _make_handler(self)
         self.httpd = _Server((host, port), handler)
         self.httpd.daemon_threads = True
@@ -172,12 +153,8 @@ class PredictionServer:
     def close(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
-        if self.batcher is not None:
-            self.batcher.close()
-        if self._compute is not None:
-            self._compute.shutdown(wait=False, cancel_futures=True)
-        if self.frontend is not None:
-            self.frontend.close()
+        self.batcher.close()
+        self._compute.shutdown(wait=False, cancel_futures=True)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -192,6 +169,11 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Request handling (called from handler threads)
     # ------------------------------------------------------------------
+    def _predict_many(self, requests: Sequence) -> List[np.ndarray]:
+        # The batcher's batch function: the engine reference is read once
+        # per batch, so a concurrent reload never splits a batch.
+        return self.engine.predict_many(requests)
+
     def handle_predict(self, body: dict) -> dict:
         if not isinstance(body, dict):
             raise ServingError("request body must be a JSON object")
@@ -203,18 +185,9 @@ class PredictionServer:
 
     def _predict_nodes(self, body: dict) -> dict:
         nodes = body["nodes"]
-        if isinstance(nodes, int):
+        if type(nodes) is int:
             nodes = [nodes]
-        timeout = self.request_timeout_s
-        if self.frontend is not None:
-            logits = self.frontend.predict_nodes(nodes, timeout=timeout)
-        elif self.batcher is not None:
-            logits = self.batcher.predict(nodes, timeout=timeout)
-        else:
-            self.metrics.inc("requests_total")
-            logits = self._compute.submit(self.engine.predict_nodes, nodes).result(
-                timeout=timeout
-            )
+        logits = self.batcher.predict(nodes, timeout=self.request_timeout_s)
         response = {
             "nodes": [int(n) for n in nodes],
             "labels": logits.argmax(axis=1).tolist(),
@@ -230,17 +203,10 @@ class PredictionServer:
         neighbors = body.get("neighbors")
         if neighbors is None:
             raise ServingError('inductive requests need "neighbors" (known node ids)')
-        timeout = self.request_timeout_s
-        if self.frontend is not None:
-            # The frontend's submit() counts requests_total itself.
-            logits = self.frontend.predict_inductive(
-                body["features"], neighbors, timeout=timeout
-            )
-        else:
-            self.metrics.inc("requests_total")
-            logits = self._compute.submit(
-                self.engine.predict_inductive, body["features"], neighbors
-            ).result(timeout=timeout)
+        self.metrics.inc("requests_total")
+        logits = self._compute.submit(
+            self.engine.predict_inductive, body["features"], neighbors
+        ).result(timeout=self.request_timeout_s)
         response = {"label": int(np.argmax(logits))}
         if body.get("return_probs"):
             response["probs"] = softmax_rows(logits[None, :])[0].tolist()
@@ -249,29 +215,46 @@ class PredictionServer:
         return response
 
     def handle_reload(self, body: dict) -> dict:
-        """``POST /admin/reload``: zero-downtime artifact swap."""
+        """``POST /admin/reload``: swap in a new artifact, atomically.
+
+        The fresh engine is built on the serving graph, verified against
+        it and given its logits table *before* the swap, so requests
+        never wait on it; any failure there is a 400 and the old
+        artifact keeps serving.
+        """
         if not isinstance(body, dict):
             raise ServingError("request body must be a JSON object")
-        if self.frontend is None:
-            raise ServingError("rolling reload requires replica serving (--replicas)")
         path = body.get("artifact")
-        if not path:
+        if not isinstance(path, str) or not path:
             raise ServingError('reload needs "artifact" (path to the new .rddart)')
-        version = self.frontend.reload(path)
+        with self._reload_lock:
+            try:
+                engine = self.engine.rebuild(path)
+            except (OSError, ReproError) as error:
+                raise ServingError(
+                    f"reload failed, still serving the old artifact: {error}"
+                ) from error
+            self.engine = engine
+            self.artifact_version += 1
+            version = self.artifact_version
+        self.metrics.inc("reloads_total")
         return {"status": "reloaded", "artifact_version": version}
 
     def health(self) -> dict:
-        backend = self.frontend if self.frontend is not None else self.engine
-        info = {
+        engine = self.engine
+        return {
             "status": "ok",
-            "model": backend.model_kind,
-            "nodes": backend.num_nodes,
-            "batching": self.batcher is not None,
+            "model": engine.model_kind,
+            "nodes": engine.num_nodes,
+            "artifact_version": self.artifact_version,
         }
-        if self.frontend is not None:
-            info["replicas"] = self.frontend.replicas
-            info["artifact_version"] = self.frontend.artifact_version
-        return info
+
+    def metrics_snapshot(self) -> dict:
+        """The server's metrics plus the current engine's (inductive cache)."""
+        snapshot = self.metrics.snapshot()
+        counters = {**snapshot["counters"], **self.engine.metrics.snapshot()["counters"]}
+        snapshot["counters"] = dict(sorted(counters.items()))
+        return snapshot
 
 
 class _Server(ThreadingHTTPServer):
@@ -348,11 +331,11 @@ def _make_handler(server: PredictionServer):
                 if formats and formats[-1] == "prometheus":
                     self._send_text(
                         200,
-                        prometheus_text(server.metrics.snapshot()),
+                        prometheus_text(server.metrics_snapshot()),
                         "text/plain; version=0.0.4; charset=utf-8",
                     )
                 else:
-                    self._send_json(200, server.metrics.snapshot())
+                    self._send_json(200, server.metrics_snapshot())
             else:
                 self._send_json(404, {"error": f"unknown path {self.path}"})
 
@@ -366,8 +349,17 @@ def _make_handler(server: PredictionServer):
                 return
             try:
                 length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                # read(-1) would block until the client closes; with no
+                # usable framing the connection cannot be reused either.
+                self.close_connection = True
+                self._send_json(400, {"error": "invalid Content-Length"})
+                return
+            try:
                 body = json.loads(self.rfile.read(length) or b"")
-            except (ValueError, json.JSONDecodeError) as error:
+            except (ValueError, RecursionError) as error:
                 self._send_json(400, {"error": f"invalid JSON body: {error}"})
                 return
             try:

@@ -80,7 +80,8 @@ class TestEnsembleServing:
         path = export_ensemble_artifact(tmp_path / "tables.rddart", ensemble, tiny_graph)
         engine = PredictionEngine(path, tiny_graph)
         features = np.asarray(tiny_graph.features[0]).ravel()
-        with pytest.raises(ArtifactError, match="transductive prediction tables"):
+        # A client error (HTTP 400) carrying the artifact's re-export hint.
+        with pytest.raises(ServingError, match="transductive prediction tables.*re-export"):
             engine.predict_inductive(features, [0, 1])
 
 
