@@ -18,7 +18,7 @@ Measures the four optimizations shipped together:
    schedule) vs. the optimized stack (``workers=4``, ``float32``,
    shared eval forward).
 
-Run ``python scripts/bench_hotpath.py`` (or ``python -m
+Run ``python scripts/bench.py hotpath`` (or ``python -m
 benchmarks.bench_hotpath`` with ``src`` on the path) to write
 ``BENCH_hotpath.json`` at the repo root.  The pytest entries are marked
 ``perf`` and excluded from the default (tier-1) test run.

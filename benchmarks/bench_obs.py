@@ -24,7 +24,7 @@ for the neighbor-sampled loop (``sampler="neighbor"``), which emits one
 ``sampler:batch`` span per optimizer step — the chattiest span site in
 the repo — so the sampled ratio is the stress case for the budget.
 
-Run ``python scripts/bench_obs.py`` to refresh the baseline.  The pytest
+Run ``python scripts/bench.py obs`` to refresh the baseline.  The pytest
 entry is ``perf``-marked and excluded from tier-1.
 """
 

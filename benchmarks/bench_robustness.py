@@ -24,7 +24,7 @@ Two measurements back the robustness subsystem (committed to
    (attack RNG, model init, harness seed loop), so the margins are
    reproducible on one machine.
 
-Run ``python scripts/bench_robustness.py`` to refresh the baseline.
+Run ``python scripts/bench.py robustness`` to refresh the baseline.
 The pytest entries are ``perf``-marked and excluded from tier-1.
 """
 

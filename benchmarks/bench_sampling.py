@@ -6,9 +6,9 @@ guarded by ``scripts/check_bench.py --bench sampling``):
 
 1. **Sampler speed** — the vectorized CSR kernel
    (:func:`repro.sampling.sample_adjacent`) must beat the per-node
-   Python loop it replaced (kept as
-   :func:`repro.graph.sampling._sample_neighbors_loop`) by at least
-   :data:`SAMPLER_FLOOR` on a 10k-seed batch of a dense-degree DC-SBM.
+   Python loop it replaced (kept here as :func:`_sample_neighbors_loop`)
+   by at least :data:`SAMPLER_FLOOR` on a 10k-seed batch of a
+   dense-degree DC-SBM.
 
 2. **Memory-boundedness** — on an SBM graph **10× larger** than the
    repo's largest full-scale bench graph (cora_like: 2708 nodes /
@@ -26,7 +26,7 @@ distillation trains at a graph size where its memory profile matters
 (reported, not gated: RDD's reliability refresh is full-graph in both
 modes, so its ratio is structurally milder than the GCN pair's).
 
-Run ``python scripts/bench_sampling.py`` to refresh the baseline.  The
+Run ``python scripts/bench.py sampling`` to refresh the baseline.  The
 pytest entries are ``perf``-marked and excluded from tier-1.
 """
 
@@ -38,9 +38,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
+import scipy.sparse as sp
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
@@ -106,8 +107,47 @@ def make_sampler_graph(seed: int = 0):
 # ----------------------------------------------------------------------
 # 1. Sampler kernel speedup (vectorized vs per-node loop)
 # ----------------------------------------------------------------------
+def _sample_neighbors_loop(
+    adjacency: sp.spmatrix,
+    nodes: np.ndarray,
+    fanout: int,
+    rng: np.random.Generator,
+) -> tuple:
+    """Per-node-loop reference the vectorized kernel is timed against.
+
+    Returns ``(src, dst)`` sampled edges ``neighbor -> node`` with the
+    same without-replacement fanout rule as
+    :func:`repro.sampling.sample_adjacent`, except that an isolated node
+    emits a ``node -> node`` self edge.  The RNG draw pattern differs, so
+    the two agree exactly only where no randomness is consumed (full
+    fanout).
+    """
+    from repro.errors import GraphError
+    from repro.sampling.neighbor import check_node_ids
+
+    if fanout < 1:
+        raise GraphError(f"fanout must be >= 1, got {fanout}")
+    csr = adjacency.tocsr()
+    nodes = check_node_ids(nodes, csr.shape[0])
+    src_parts: List[np.ndarray] = []
+    dst_parts: List[np.ndarray] = []
+    for node in nodes:
+        neighbors = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
+        if len(neighbors) == 0:
+            chosen = np.asarray([node])
+        elif len(neighbors) <= fanout:
+            chosen = neighbors
+        else:
+            chosen = rng.choice(neighbors, size=fanout, replace=False)
+        src_parts.append(chosen.astype(np.int64))
+        dst_parts.append(np.full(len(chosen), node, dtype=np.int64))
+    if not src_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+
 def sampler_speedup(quick: bool = False) -> Dict[str, object]:
-    from repro.graph.sampling import _sample_neighbors_loop
     from repro.sampling import NeighborSampler
 
     adjacency = make_sampler_graph()

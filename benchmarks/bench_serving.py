@@ -16,7 +16,7 @@ workload an HTTP front end produces — in two regimes:
   instead of the whole tail collapsing.
 
 Batched results are bitwise identical to unbatched ones (asserted
-before any timing).  Run ``python benchmarks/bench_serving.py`` to
+before any timing).  Run ``python scripts/bench.py serving`` to
 refresh ``BENCH_serving.json``; ``scripts/check_bench.py`` guards it
 against regression.  The pytest entries are ``perf``-marked and
 excluded from tier-1.

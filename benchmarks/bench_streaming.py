@@ -21,7 +21,7 @@ Two measurements back the streaming subsystem (committed to
    are wall-clock noisy and the refresher thread competes for the GIL);
    the gated shape is eager stale hits << lazy stale hits.
 
-Run ``python scripts/bench_streaming.py`` to refresh the baseline.  The
+Run ``python scripts/bench.py streaming`` to refresh the baseline.  The
 pytest entries are ``perf``-marked and excluded from tier-1.
 """
 

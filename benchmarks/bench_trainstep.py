@@ -28,7 +28,7 @@ Workloads span the regimes the distillation pipeline hits:
 * ``mlp``        — graph-free baseline (fused ``linear`` only).
 
 Every workload asserts fused-vs-legacy bitwise parity on the updated
-parameters before any timing.  Run ``python scripts/bench_trainstep.py``
+parameters before any timing.  Run ``python scripts/bench.py trainstep``
 to write ``BENCH_trainstep.json`` at the repo root;
 ``scripts/check_bench.py`` compares a fresh run against the committed
 baseline.  The pytest entries are ``perf``-marked and excluded from

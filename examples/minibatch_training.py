@@ -1,12 +1,13 @@
 """Scenario: memory-bounded training with sampled neighborhoods.
 
-The paper's related work (§6) notes that spatial GCNs like GraphSAGE can
-train on "a batch of nodes instead of the whole graph".  This example
-contrasts the two regimes on a Pubmed-like graph:
+The paper's related work (§6) notes that spatial GCNs can train on "a
+batch of nodes instead of the whole graph".  This example contrasts the
+two regimes on a Pubmed-like graph with the paper's 2-layer GCN:
 
-1. full-batch GraphSAGE (exact neighbor means over the whole graph);
-2. minibatch GraphSAGE with layer-wise neighbor sampling — each training
-   step touches only a few hundred nodes regardless of graph size.
+1. full-batch GCN (one forward over the whole normalized Â per epoch);
+2. mini-batch GCN on layer-wise sampled blocks (``SampledTrainer`` +
+   ``BlockBuilder``) — each training step touches only a few hundred
+   nodes regardless of graph size.
 
 Run with::
 
@@ -18,9 +19,13 @@ from __future__ import annotations
 import time
 
 from repro import pubmed_like
-from repro.graph import build_blocks
-from repro.models import GraphSAGE, MiniBatchSAGETrainer
+from repro.models import GCN
+from repro.sampling import BlockBuilder
 from repro.training import Trainer, make_rng
+from repro.training.sampled import SampledTrainer
+
+FANOUTS = (5, 5)
+BATCH_SIZE = 32
 
 
 def main() -> None:
@@ -29,23 +34,24 @@ def main() -> None:
 
     # Full-batch: every epoch aggregates over all edges.
     start = time.perf_counter()
-    full = GraphSAGE(graph.num_features, graph.num_classes, make_rng(0), hidden=16)
+    full = GCN(graph.num_features, graph.num_classes, make_rng(0), hidden=16)
     full_result = Trainer(max_epochs=100).fit(full, graph)
-    print(f"full-batch GraphSAGE : {full_result.summary()} "
+    print(f"full-batch GCN : {full_result.summary()} "
           f"({time.perf_counter() - start:.1f}s)")
 
-    # Minibatch: sampled 2-layer neighborhoods, 32 seeds per step.
+    # Mini-batch: sampled 2-layer blocks, 32 seeds per optimizer step.
     start = time.perf_counter()
-    trainer = MiniBatchSAGETrainer(fanouts=(5, 5), batch_size=32, epochs=25)
-    mini_result = trainer.fit(graph, seed=0, hidden=16)
-    print(f"minibatch GraphSAGE  : {mini_result.summary()} "
+    sampled = GCN(graph.num_features, graph.num_classes, make_rng(0), hidden=16)
+    trainer = SampledTrainer(fanouts=FANOUTS, batch_size=BATCH_SIZE, max_epochs=100)
+    sampled_result = trainer.fit(sampled, graph)
+    print(f"sampled GCN    : {sampled_result.summary()} "
           f"({time.perf_counter() - start:.1f}s)")
 
     # Show how small one sampled computation graph actually is.
-    blocks = build_blocks(graph.adjacency, graph.train_index[:32], (5, 5), make_rng(1))
-    print(f"\none minibatch touches {len(blocks[0].input_nodes)} of "
-          f"{graph.num_nodes} nodes "
-          f"({len(blocks[0].input_nodes) / graph.num_nodes:.1%} of the graph)")
+    batch = BlockBuilder(graph.adjacency, FANOUTS, seed=1).build(graph.train_index[:BATCH_SIZE])
+    touched = len(batch.input_nodes)
+    print(f"\none minibatch touches {touched} of {graph.num_nodes} nodes "
+          f"({touched / graph.num_nodes:.1%} of the graph)")
     print("Expected: comparable accuracy, with per-step cost independent of graph size.")
 
 

@@ -44,8 +44,8 @@ Usage::
 
 Exit status is non-zero when any workload regresses.  After an
 intentional performance change, refresh the baseline with
-``python scripts/bench_trainstep.py`` / ``python scripts/bench_serving.py``
-/ ``python scripts/bench_obs.py`` and commit the new JSON.
+``python scripts/bench.py NAME`` (for example
+``python scripts/bench.py serving``) and commit the new JSON.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ SHED_P99_LIMIT_MS = 1000.0
 def load_baseline(path: Path = BASELINE_PATH) -> Dict[str, object]:
     if not path.exists():
         raise FileNotFoundError(
-            f"no committed baseline at {path}; run scripts/bench_trainstep.py first"
+            f"no committed baseline at {path}; run scripts/bench.py trainstep first"
         )
     return json.loads(path.read_text())
 
@@ -141,7 +141,7 @@ def run_check(quick: bool = False, tolerance: float = TOLERANCE) -> List[str]:
 def load_serving_baseline(path: Path = SERVING_BASELINE_PATH) -> Dict[str, object]:
     if not path.exists():
         raise FileNotFoundError(
-            f"no committed baseline at {path}; run scripts/bench_serving.py first"
+            f"no committed baseline at {path}; run scripts/bench.py serving first"
         )
     return json.loads(path.read_text())
 
@@ -217,7 +217,7 @@ def run_check_serving(quick: bool = False, tolerance: float = TOLERANCE) -> List
 def load_obs_baseline(path: Path = OBS_BASELINE_PATH) -> Dict[str, object]:
     if not path.exists():
         raise FileNotFoundError(
-            f"no committed baseline at {path}; run scripts/bench_obs.py first"
+            f"no committed baseline at {path}; run scripts/bench.py obs first"
         )
     return json.loads(path.read_text())
 
@@ -280,7 +280,7 @@ def run_check_obs(quick: bool = False) -> List[str]:
 def load_sampling_baseline(path: Path = SAMPLING_BASELINE_PATH) -> Dict[str, object]:
     if not path.exists():
         raise FileNotFoundError(
-            f"no committed baseline at {path}; run scripts/bench_sampling.py first"
+            f"no committed baseline at {path}; run scripts/bench.py sampling first"
         )
     return json.loads(path.read_text())
 
@@ -339,7 +339,7 @@ def run_check_sampling(quick: bool = False, tolerance: float = TOLERANCE) -> Lis
 def load_streaming_baseline(path: Path = STREAMING_BASELINE_PATH) -> Dict[str, object]:
     if not path.exists():
         raise FileNotFoundError(
-            f"no committed baseline at {path}; run scripts/bench_streaming.py first"
+            f"no committed baseline at {path}; run scripts/bench.py streaming first"
         )
     return json.loads(path.read_text())
 
@@ -393,7 +393,7 @@ def run_check_streaming(quick: bool = False, tolerance: float = TOLERANCE) -> Li
 def load_robustness_baseline(path: Path = ROBUSTNESS_BASELINE_PATH) -> Dict[str, object]:
     if not path.exists():
         raise FileNotFoundError(
-            f"no committed baseline at {path}; run scripts/bench_robustness.py first"
+            f"no committed baseline at {path}; run scripts/bench.py robustness first"
         )
     return json.loads(path.read_text())
 

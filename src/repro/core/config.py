@@ -90,8 +90,9 @@ class RDDConfig:
     # every student on fanout-sampled blocks so peak memory scales with
     # batch_size × prod(fanouts) instead of the graph.
     sampler: str = "full"
-    # Per-layer fanouts, ordered from the output layer inward (the
-    # build_blocks convention).  Only used when sampler="neighbor".
+    # Per-layer fanouts, ordered from the output layer inward as
+    # BlockBuilder takes them (fanouts[0] samples the seeds'
+    # neighbors).  Only used when sampler="neighbor".
     fanouts: "tuple[int, ...]" = (10, 10)
     batch_size: int = 512
     # Reliability-prioritized sampling (sampler="neighbor" students

@@ -8,7 +8,6 @@ from repro.graph.normalize import (
     row_normalize,
     row_normalize_features,
 )
-from repro.graph.sampling import SampledBlock, build_blocks, minibatches, sample_neighbors
 from repro.graph.pagerank import pagerank, personalized_propagation_matrix
 from repro.graph.subgraph import InductiveSplit, induced_subgraph, make_inductive_split
 from repro.graph.stats import GraphStats, edge_homophily, summarize
@@ -26,10 +25,6 @@ __all__ = [
     "row_normalize_features",
     "add_self_loops",
     "pagerank",
-    "sample_neighbors",
-    "build_blocks",
-    "minibatches",
-    "SampledBlock",
     "induced_subgraph",
     "make_inductive_split",
     "InductiveSplit",

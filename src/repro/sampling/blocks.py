@@ -133,9 +133,10 @@ class BlockBuilder:
         Global symmetric adjacency (unweighted, zero diagonal) — the
         same matrix :func:`gcn_normalize` consumes.
     fanouts:
-        Per-layer fanouts ordered from the *output* layer inward
-        (``fanouts[0]`` samples the last layer's neighbors), matching
-        the :func:`repro.graph.sampling.build_blocks` convention.
+        Per-layer fanouts ordered from the *output* layer inward:
+        ``fanouts[0]`` samples the neighbors of the seeds (the last
+        layer's outputs), ``fanouts[-1]`` those of the first layer's
+        outputs.  :meth:`build` still returns blocks input layer first.
     seed / rng:
         Sampling stream; full-fanout builds consume no randomness.
     weights:

@@ -55,9 +55,9 @@ class ItemSampler:
     def epoch(self, weights: Optional[np.ndarray] = None) -> List[np.ndarray]:
         """One epoch's batches: a shuffled partition of ``index``.
 
-        ``weights`` (aligned with ``index``, strictly positive) biases
-        the shuffle so heavier seeds land in earlier batches; ``None``
-        shuffles uniformly.
+        ``weights`` (aligned with ``index``, finite and strictly
+        positive) biases the shuffle so heavier seeds land in earlier
+        batches; ``None`` shuffles uniformly.
         """
         if weights is None:
             shuffled = self.rng.permutation(self.index)
@@ -67,8 +67,8 @@ class ItemSampler:
                 raise GraphError(
                     f"weights must align with index {self.index.shape}, got {weights.shape}"
                 )
-            if weights.min() <= 0.0:
-                raise GraphError("seed weights must be strictly positive")
+            if not (np.isfinite(weights).all() and weights.min() > 0.0):
+                raise GraphError("seed weights must be finite and strictly positive")
             # Exponential keys scaled by 1/w: ascending-key order is a
             # weighted shuffle without replacement.
             keys = self.rng.exponential(size=len(self.index)) / weights

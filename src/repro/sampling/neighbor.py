@@ -1,8 +1,7 @@
 """Vectorized CSR neighbor sampling.
 
 The kernel at the bottom of every sampled path — training block
-construction, serving's inductive context expansion, and the legacy
-:func:`repro.graph.sampling.sample_neighbors` API — is
+construction and serving's inductive context expansion — is
 :func:`sample_adjacent`: without-replacement fanout sampling over a CSR
 adjacency with **no Python-level loop over seed nodes**.  The per-node
 work is expressed as batched index arithmetic over ``indptr``/``indices``
@@ -84,7 +83,6 @@ def sample_adjacent(
     fanout: int,
     rng: np.random.Generator,
     weights: Optional[np.ndarray] = None,
-    isolated_self_edges: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample up to ``fanout`` distinct neighbors for each node, vectorized.
 
@@ -101,18 +99,13 @@ def sample_adjacent(
         degree exceeds the fanout draw neighbors with probability
         proportional to their weight (without replacement).  ``None``
         samples uniformly.
-    isolated_self_edges:
-        When True, zero-degree nodes contribute a ``node -> node`` self
-        edge so every seed receives at least one message (the historical
-        :func:`repro.graph.sampling.sample_neighbors` contract).
 
     Returns
     -------
     (src, dst, counts):
         Sampled directed edges ``neighbor -> node``, grouped by seed in
-        ``nodes`` order, plus the per-seed count of *sampled* neighbors
-        (self edges excluded — an isolated node reports count 0 even
-        though it emits a self edge).
+        ``nodes`` order, plus the per-seed count of sampled neighbors
+        (an isolated node contributes no edge and reports count 0).
     """
     if fanout < 1:
         raise GraphError(f"fanout must be >= 1, got {fanout}")
@@ -120,22 +113,12 @@ def sample_adjacent(
     degrees = indptr[nodes + 1] - starts
     take = np.minimum(degrees, fanout)
 
-    out_counts = take
-    if isolated_self_edges:
-        out_counts = np.where(degrees == 0, 1, take)
-    out_total = int(out_counts.sum())
-    src = np.empty(out_total, dtype=np.int64)
+    src = np.empty(int(take.sum()), dtype=np.int64)
     out_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(out_counts)[:-1]]
+        [np.zeros(1, dtype=np.int64), np.cumsum(take)[:-1]]
     )
 
     full = degrees <= fanout
-    if isolated_self_edges:
-        isolated = degrees == 0
-        if isolated.any():
-            src[out_offsets[isolated]] = nodes[isolated]
-        full = full & ~isolated
-
     if full.any():
         # Under-fanout rows copy their whole neighbor list — no RNG.
         positions = _expand_positions(starts[full], degrees[full])
@@ -168,7 +151,7 @@ def sample_adjacent(
         slots = _expand_positions(out_offsets[over], np.full(int(over.sum()), fanout, dtype=np.int64))
         src[slots] = winners
 
-    dst = np.repeat(nodes, out_counts)
+    dst = np.repeat(nodes, take)
     return src, dst, take
 
 
@@ -225,26 +208,17 @@ class NeighborSampler:
             raise GraphError(
                 f"weights must have shape ({self.num_nodes},), got {weights.shape}"
             )
-        if weights.size and weights.min() <= 0.0:
-            raise GraphError("sampling weights must be strictly positive")
+        if weights.size and not (np.isfinite(weights).all() and weights.min() > 0.0):
+            raise GraphError("sampling weights must be finite and strictly positive")
         self._weights = weights
 
     def sample(
-        self,
-        nodes: np.ndarray,
-        fanout: int,
-        isolated_self_edges: bool = False,
+        self, nodes: np.ndarray, fanout: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized fanout sample; see :func:`sample_adjacent`."""
         nodes = check_node_ids(nodes, self.num_nodes)
         return sample_adjacent(
-            self.indptr,
-            self.indices,
-            nodes,
-            fanout,
-            self.rng,
-            weights=self._weights,
-            isolated_self_edges=isolated_self_edges,
+            self.indptr, self.indices, nodes, fanout, self.rng, weights=self._weights
         )
 
 

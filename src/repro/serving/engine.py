@@ -12,13 +12,14 @@ no sockets, no queues, just "artifact + graph in, logits out":
 * **inductive** queries (nodes unseen at training time, given as a
   feature vector plus edges into the known graph) build a query
   subgraph around the attachment points — sampled layer-wise
-  neighborhoods in the style of ``minibatch_sage``, carved out with
-  :func:`repro.graph.subgraph.induced_subgraph` — run the model on that
-  small graph, and read off the query node's row.  Results are memoized
-  in a :class:`~repro.serving.cache.TieredCache` keyed by the query's
-  content: a cold LRU admission tier under a frequency-promoted hot
-  tier, so repeated queries (health probes, hot entities) cost a dict
-  lookup and cold scan bursts cannot evict the hot set.
+  neighborhoods from :func:`repro.sampling.layerwise_neighborhood`,
+  carved out with :func:`repro.graph.subgraph.induced_subgraph` — run
+  the model on that small graph, and read off the query node's row.
+  Results are memoized in a :class:`~repro.serving.cache.TieredCache`
+  keyed by the query's content: a cold LRU admission tier under a
+  frequency-promoted hot tier, so repeated queries (health probes, hot
+  entities) cost a dict lookup and cold scan bursts cannot evict the
+  hot set.
 
 Request payloads are validated here, in one place, for every caller
 (the HTTP server passes the decoded JSON through unchanged): node and

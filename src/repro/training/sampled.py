@@ -39,6 +39,7 @@ import repro.obs as obs
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel
+from repro.models.gcn import GCN
 from repro.nn.optim import Adam
 from repro.nn.schedules import EarlyStopping
 from repro.sampling import BlockBuilder, ItemSampler, MiniBatch
@@ -86,18 +87,21 @@ class SamplingPlan:
 
 
 class SampledTrainer(Trainer):
-    """Neighbor-sampled mini-batch trainer for GCN-family models.
+    """Neighbor-sampled mini-batch trainer for GCN and RobustGCN.
 
-    The model must expose ``layers`` (a sequence of modules callable as
-    ``layer(adjacency, h)``) and ``dropout`` — the :class:`GCN` contract.
+    The block forward replays the model's own ``dropout → layer(Â, h) →
+    relu`` chain over ``model.layers``, so only models whose forward is
+    exactly that chain (:class:`GCN` and
+    :class:`~repro.robustness.aggregation.RobustGCN`) are accepted; any
+    other model raises :class:`TrainingError` before training starts.
 
     Parameters
     ----------
     fanouts:
-        Per-layer fanouts ordered from the *output* layer inward (the
-        :func:`repro.graph.sampling.build_blocks` convention).  An int
-        replicates across all layers; a sequence must have one entry per
-        model layer.
+        Per-layer fanouts ordered from the *output* layer inward, as
+        :class:`repro.sampling.BlockBuilder` takes them (``fanouts[0]``
+        samples the seeds' neighbors).  An int replicates across all
+        layers; a sequence must have one entry per model layer.
     batch_size:
         Seed nodes per optimizer step.
     sample_seed:
@@ -135,12 +139,17 @@ class SampledTrainer(Trainer):
 
     # ------------------------------------------------------------------
     def _model_fanouts(self, model: GraphModel) -> tuple:
-        layers = getattr(model, "layers", None)
-        if layers is None or getattr(model, "dropout", None) is None:
+        # Imported lazily: repro.robustness sits above training in the
+        # layering (its sweep harness imports the RDD trainer).
+        from repro.robustness.aggregation import RobustGCN
+
+        if not isinstance(model, (GCN, RobustGCN)):
             raise TrainingError(
-                "SampledTrainer needs a GCN-family model exposing .layers and .dropout"
+                "SampledTrainer replays the dropout -> layer(adjacency, h) -> relu "
+                "chain over .layers, which only GCN and RobustGCN run; got "
+                f"{type(model).__name__}"
             )
-        num_layers = len(layers)
+        num_layers = len(model.layers)
         fanouts = self.fanouts
         if len(fanouts) == 1 and num_layers > 1:
             fanouts = fanouts * num_layers

@@ -179,3 +179,6 @@ class TestItemSampler:
             sampler.epoch(weights=np.ones(3))
         with pytest.raises(GraphError, match="positive"):
             sampler.epoch(weights=np.zeros(4))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(GraphError, match="finite"):
+                sampler.epoch(weights=np.array([1.0, bad, 1.0, 1.0]))

@@ -77,17 +77,6 @@ class TestSampleAdjacent:
         np.testing.assert_array_equal(dst, [3, 0, 0])
         assert src[0] == 4 and sorted(src[1:].tolist()) == [1, 2]
 
-    def test_isolated_self_edges_flag(self, rng):
-        adj = build_adjacency(3, np.array([[0, 1]]))
-        indptr, indices = csr_arrays(adj)
-        src, dst, counts = sample_adjacent(
-            indptr, indices, np.array([2]), 4, rng, isolated_self_edges=True
-        )
-        np.testing.assert_array_equal(src, [2])
-        np.testing.assert_array_equal(dst, [2])
-        # counts report *sampled* neighbors: the self edge is not one.
-        np.testing.assert_array_equal(counts, [0])
-
     def test_isolated_without_flag_contributes_nothing(self, rng):
         adj = build_adjacency(3, np.array([[0, 1]]))
         indptr, indices = csr_arrays(adj)
@@ -150,6 +139,11 @@ class TestNeighborSampler:
             sampler.set_weights(np.ones(3))
         with pytest.raises(GraphError, match="positive"):
             sampler.set_weights(np.zeros(5))
+        for bad in (np.nan, np.inf):
+            weights = np.ones(5)
+            weights[2] = bad
+            with pytest.raises(GraphError, match="finite"):
+                sampler.set_weights(weights)
         sampler.set_weights(np.ones(5))
         sampler.set_weights(None)  # clearing is allowed
 

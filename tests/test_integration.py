@@ -1,6 +1,6 @@
 """Cross-module integration and failure-injection tests."""
 
-import py_compile
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -79,33 +79,29 @@ class TestFailureInjection:
             assert np.isfinite(result.ensemble_test_accuracy)
 
 
+def load_example(name: str):
+    """Import ``examples/<name>`` as a module (its ``main()`` stays guarded)."""
+    spec = importlib.util.spec_from_file_location(
+        Path(name).stem + "_example", REPO_ROOT / "examples" / name
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestExamplesCompile:
-    """Every example script must at least be valid Python."""
+    """Every example script must import: a reference to a removed or
+    renamed API fails here, not only on a user's first run."""
 
     @pytest.mark.parametrize(
-        "name",
-        [
-            "quickstart.py",
-            "citation_topic_classification.py",
-            "reliability_analysis.py",
-            "ensemble_anatomy.py",
-            "custom_dataset.py",
-        ],
+        "name", sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
     )
-    def test_example_compiles(self, name, tmp_path):
-        path = REPO_ROOT / "examples" / name
-        assert path.exists(), f"missing example {name}"
-        py_compile.compile(str(path), cfile=str(tmp_path / (name + "c")), doraise=True)
+    def test_example_compiles(self, name):
+        assert callable(load_example(name).main)
 
     def test_custom_dataset_example_runs(self):
         # The cheapest full example: import and execute its main path.
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "custom_dataset_example", REPO_ROOT / "examples" / "custom_dataset.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load_example("custom_dataset.py")
         graph = module.build_collaboration_network(seed=1)
         assert graph.num_nodes == 300
         assert graph.num_classes == 3

@@ -14,7 +14,9 @@ import pytest
 from repro.core.config import RDDConfig
 from repro.core.rdd import RDDTrainer
 from repro.errors import TrainingError
+from repro.models import MLP, GraphSAGE, JKNet, ResGCN
 from repro.models.gcn import GCN
+from repro.robustness.aggregation import RobustGCN
 from repro.training.sampled import SampledTrainer, SamplingPlan, sampled_supervised_loss
 from repro.training.trainer import Trainer
 
@@ -61,6 +63,31 @@ class TestConstruction:
 
         with pytest.raises(TrainingError, match="layers"):
             SampledTrainer(max_epochs=1)._model_fanouts(Opaque())
+
+        # These expose .layers and .dropout, but their forward is not the
+        # dropout -> layer(adjacency, h) -> relu chain the block forward
+        # replays: they must be refused before any training happens.
+        n, c = tiny_graph.num_features, tiny_graph.num_classes
+        rng = np.random.default_rng(0)
+        for model in (
+            JKNet(n, c, rng, num_layers=3),
+            ResGCN(n, c, rng),
+            GraphSAGE(n, c, rng),
+            MLP(n, c, rng),
+        ):
+            before = model.state_dict()
+            with pytest.raises(TrainingError, match=type(model).__name__):
+                SampledTrainer(fanouts=(5, 5), max_epochs=1).fit(model, tiny_graph)
+            for name, value in model.state_dict().items():
+                np.testing.assert_array_equal(value, before[name])
+
+        config = RDDConfig(num_base_models=1, max_epochs=1, sampler="neighbor", fanouts=(5, 5))
+        factory = lambda g, rng: MLP(g.num_features, g.num_classes, rng)  # noqa: E731
+        with pytest.raises(TrainingError, match="MLP"):
+            RDDTrainer(config, model_factory=factory).fit(tiny_graph, seed=0)
+
+        robust = RobustGCN(n, c, rng)
+        assert SampledTrainer(fanouts=2)._model_fanouts(robust) == (2, 2)
 
 
 class TestTrainingLoop:
