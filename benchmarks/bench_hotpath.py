@@ -6,17 +6,16 @@ Measures the four optimizations shipped together:
    :func:`~repro.tensor.tensor.no_grad` skip tape construction and take
    the raw-ndarray layer fast paths.  Compared against the legacy
    behavior (eval-mode forward with the tape armed).
-2. **Forward-pass dedup** — with ``share_eval_forward`` the RDD student
-   reuses the trainer's validation forward for its reliability refresh,
-   cutting full-graph forwards per epoch from 3 to 2 (counted via a
-   forward-counter model hook).
+2. **Forward-pass dedup** — the RDD student's reliability refresh reuses
+   the trainer's validation forward, so an epoch runs 2 full-graph
+   forwards (counted via a forward-counter model hook).
 3. **Teacher-context hoisting** — :func:`node_reliability` with a
    precomputed :class:`TeacherContext` vs. recomputing the frozen
    teacher's argmax/threshold work every call.
 4. **Process-parallel + float32 harness** — the multi-seed harness in
-   its seed-parity configuration (serial, float64, legacy 3-forward
-   schedule) vs. the optimized stack (``workers=4``, ``float32``,
-   shared eval forward).
+   its seed-parity configuration (serial, float64, seed code paths) vs.
+   the optimized stack (``workers=4``, ``float32``).  Both run the one
+   2-forward RDD epoch schedule.
 
 Run ``python scripts/bench.py hotpath`` (or ``python -m
 benchmarks.bench_hotpath`` with ``src`` on the path) to write
@@ -186,7 +185,7 @@ class _CountingGCN(GCN):
         return super().forward(graph)
 
 
-def count_rdd_forwards(share_eval_forward: bool, epochs: int = 12) -> Dict[str, float]:
+def count_rdd_forwards(epochs: int = 12) -> Dict[str, float]:
     """Steady-state full-graph forwards per epoch for one RDD student."""
     graph = cora_like(seed=0, scale=0.1)
     counters: List[Dict[str, int]] = []
@@ -203,7 +202,6 @@ def count_rdd_forwards(share_eval_forward: bool, epochs: int = 12) -> Dict[str, 
             num_base_models=2,
             max_epochs=epochs,
             patience=epochs,  # disable early stopping: fixed epoch count
-            share_eval_forward=share_eval_forward,
         ).rdd_config(),
         model_factory=factory,
     )
@@ -212,12 +210,10 @@ def count_rdd_forwards(share_eval_forward: bool, epochs: int = 12) -> Dict[str, 
     student_forwards = counters[1]["forwards"]
     student_epochs = result.base_results[1].epochs_run
     assert student_epochs == epochs
-    # One-time forwards outside the per-epoch loop: the best-checkpoint
-    # restore forward, plus (shared schedule only) the epoch-0 bootstrap.
-    one_time = 2 if share_eval_forward else 1
-    per_epoch = (student_forwards - one_time) / student_epochs
+    # Two one-time forwards outside the per-epoch loop: the epoch-0
+    # bootstrap of the refresh's eval logits and the best-checkpoint restore.
+    per_epoch = (student_forwards - 2) / student_epochs
     return {
-        "share_eval_forward": share_eval_forward,
         "student_total_forwards": student_forwards,
         "student_epochs": student_epochs,
         "forwards_per_epoch": per_epoch,
@@ -269,12 +265,9 @@ def _harness_config(optimized: bool, **overrides) -> HarnessConfig:
     )
     budget.update(overrides)
     if optimized:
-        return HarnessConfig(
-            workers=4, dtype="float32", share_eval_forward=True, **budget
-        )
-    # Seed parity: the exact pre-overhaul execution (serial float64,
-    # legacy 3-forward schedule).
-    return HarnessConfig(workers=1, dtype=None, share_eval_forward=False, **budget)
+        return HarnessConfig(workers=4, dtype="float32", **budget)
+    # Seed parity: serial float64, the pre-overhaul execution.
+    return HarnessConfig(workers=1, dtype=None, **budget)
 
 
 def _time_harness(config: HarnessConfig, seed_behavior: bool = False) -> Dict[str, float]:
@@ -295,7 +288,7 @@ def _time_harness(config: HarnessConfig, seed_behavior: bool = False) -> Dict[st
 
 def bench_harness(**overrides) -> Dict[str, object]:
     # The baseline is the seed stack: seed configuration (serial,
-    # float64, 3-forward schedule) AND seed code paths (_seed_behavior).
+    # float64) AND seed code paths (_seed_behavior).
     baseline = _time_harness(
         _harness_config(optimized=False, **overrides), seed_behavior=True
     )
@@ -313,10 +306,7 @@ def bench_harness(**overrides) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 def run_benchmark(quick: bool = False) -> Dict[str, object]:
     forward = bench_eval_forward(repeats=10 if quick else 30)
-    counts = {
-        "legacy": count_rdd_forwards(share_eval_forward=False),
-        "shared": count_rdd_forwards(share_eval_forward=True),
-    }
+    counts = count_rdd_forwards()
     refresh = bench_reliability_refresh(repeats=20 if quick else 50)
     harness = bench_harness(
         **({"seeds": (0, 1), "max_epochs": 10, "patience": 10} if quick else {})
@@ -336,11 +326,7 @@ def main(argv=None) -> int:
     counts = results["rdd_forward_counts"]
     harness = results["multi_seed_harness"]
     print(f"eval forward speedup (no_grad vs tape): {forward['eval_forward_speedup']:.2f}x")
-    print(
-        "RDD forwards/epoch: "
-        f"{counts['legacy']['forwards_per_epoch']:.2f} -> "
-        f"{counts['shared']['forwards_per_epoch']:.2f}"
-    )
+    print(f"RDD forwards/epoch: {counts['forwards_per_epoch']:.2f}")
     print(f"reliability refresh speedup: {results['reliability_refresh']['refresh_speedup']:.2f}x")
     print(f"multi-seed harness speedup: {harness['harness_speedup']:.2f}x")
     print(f"wrote {OUTPUT_PATH}")
@@ -358,10 +344,7 @@ def test_eval_forward_speedup():
 
 @pytest.mark.perf
 def test_rdd_forwards_per_epoch():
-    legacy = count_rdd_forwards(share_eval_forward=False)
-    shared = count_rdd_forwards(share_eval_forward=True)
-    assert legacy["forwards_per_epoch"] == pytest.approx(3.0)
-    assert shared["forwards_per_epoch"] == pytest.approx(2.0)
+    assert count_rdd_forwards()["forwards_per_epoch"] == pytest.approx(2.0)
 
 
 @pytest.mark.perf

@@ -74,14 +74,16 @@ WORKLOADS = {
 }
 
 
-def _make_step(graph, factory, fused: bool, arena: Optional[GradArena]):
-    """One full train step (forward + backward + optimizer) as a closure."""
+def _make_step(graph, factory, arena: Optional[GradArena]):
+    """One full train step (forward + backward + optimizer) as a closure:
+    fused kernels under ``arena``, or the elementary tape with a plain
+    ``backward`` when ``arena`` is None."""
     model = factory(graph, np.random.default_rng(0))
     optimizer = Adam(model.parameters(), lr=0.01, weight_decay=5e-4)
     loss_fn = supervised_loss(graph)
 
     def step(epoch: int) -> None:
-        with use_fused_ops(fused):
+        with use_fused_ops(arena is not None):
             model.train()
             if arena is None:
                 loss = loss_fn(model, model(graph), epoch)
@@ -99,8 +101,8 @@ def _make_step(graph, factory, fused: bool, arena: Optional[GradArena]):
 
 def _assert_parity(graph, factory, steps: int = 5) -> None:
     """Fused and legacy steps must leave identical parameters behind."""
-    legacy_model, legacy_step = _make_step(graph, factory, fused=False, arena=None)
-    fused_model, fused_step = _make_step(graph, factory, fused=True, arena=GradArena())
+    legacy_model, legacy_step = _make_step(graph, factory, arena=None)
+    fused_model, fused_step = _make_step(graph, factory, arena=GradArena())
     for epoch in range(steps):
         legacy_step(epoch)
         fused_step(epoch)
@@ -131,8 +133,8 @@ def bench_workload(name: str, repeats: int = 50) -> Dict[str, float]:
     # is being measured (steady-state buffer reuse and the cached
     # backward schedule only pay off across steps) — then alternate
     # best-of rounds so machine drift hits both paths equally.
-    _, legacy_step = _make_step(graph, spec["factory"], fused=False, arena=None)
-    _, fused_step = _make_step(graph, spec["factory"], fused=True, arena=GradArena())
+    _, legacy_step = _make_step(graph, spec["factory"], arena=None)
+    _, fused_step = _make_step(graph, spec["factory"], arena=GradArena())
     for epoch in range(5):  # warm caches, allocator, cached schedule
         legacy_step(epoch)
         fused_step(epoch)

@@ -22,7 +22,7 @@ Six benches are guarded, each against its committed baseline JSON:
   reliability-free distillation's on the same dice-poisoned graphs.
 
 Absolute times are machine-dependent, so only the *ratios* are compared:
-a fresh speedup may drift down to ``TOLERANCE`` (default 0.75) times the
+a fresh speedup may drift down to ``TOLERANCE`` (0.75) times the
 committed value before the check fails.  Each bench also keeps an
 absolute acceptance bound regardless of the baseline: 1.5x for the
 trainstep headline (deep taped regime), 2.0x for the serving
@@ -98,7 +98,7 @@ def load_baseline(path: Path = BASELINE_PATH) -> Dict[str, object]:
     return json.loads(path.read_text())
 
 
-def compare(fresh: Dict[str, object], baseline: Dict[str, object], tolerance: float = TOLERANCE) -> List[str]:
+def compare(fresh: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
     """Regression messages (empty when the fresh run holds the baseline)."""
     failures = []
     for name, base in baseline["workloads"].items():
@@ -106,11 +106,11 @@ def compare(fresh: Dict[str, object], baseline: Dict[str, object], tolerance: fl
         if current is None:
             failures.append(f"{name}: workload missing from fresh benchmark run")
             continue
-        floor = base["speedup"] * tolerance
+        floor = base["speedup"] * TOLERANCE
         if current["speedup"] < floor:
             failures.append(
                 f"{name}: speedup {current['speedup']:.2f}x fell below "
-                f"{floor:.2f}x ({tolerance:.0%} of committed {base['speedup']:.2f}x)"
+                f"{floor:.2f}x ({TOLERANCE:.0%} of committed {base['speedup']:.2f}x)"
             )
     headline = fresh.get("trainstep_speedup", 0.0)
     if headline < HEADLINE_FLOOR:
@@ -121,7 +121,7 @@ def compare(fresh: Dict[str, object], baseline: Dict[str, object], tolerance: fl
     return failures
 
 
-def run_check(quick: bool = False, tolerance: float = TOLERANCE) -> List[str]:
+def run_check(quick: bool = False) -> List[str]:
     from benchmarks.bench_trainstep import run_benchmark
 
     baseline = load_baseline()
@@ -132,7 +132,7 @@ def run_check(quick: bool = False, tolerance: float = TOLERANCE) -> List[str]:
             f"{name:11s} fresh {workload['speedup']:5.2f}x  "
             f"committed {base.get('speedup', float('nan')):5.2f}x"
         )
-    return compare(fresh, baseline, tolerance=tolerance)
+    return compare(fresh, baseline)
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +146,7 @@ def load_serving_baseline(path: Path = SERVING_BASELINE_PATH) -> Dict[str, objec
     return json.loads(path.read_text())
 
 
-def compare_serving(
-    fresh: Dict[str, object], baseline: Dict[str, object], tolerance: float = TOLERANCE
-) -> List[str]:
+def compare_serving(fresh: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
     """Regression messages for the serving bench (empty when it holds).
 
     Two families of gate: the batched/unbatched speedup (relative band
@@ -158,12 +156,12 @@ def compare_serving(
     bounded.
     """
     failures = []
-    floor = baseline["batched_speedup"] * tolerance
+    floor = baseline["batched_speedup"] * TOLERANCE
     speedup = fresh["batched_speedup"]
     if speedup < floor:
         failures.append(
             f"serving: batched speedup {speedup:.2f}x fell below {floor:.2f}x "
-            f"({tolerance:.0%} of committed {baseline['batched_speedup']:.2f}x)"
+            f"({TOLERANCE:.0%} of committed {baseline['batched_speedup']:.2f}x)"
         )
     if speedup < SERVING_FLOOR:
         failures.append(
@@ -192,7 +190,7 @@ def compare_serving(
     return failures
 
 
-def run_check_serving(quick: bool = False, tolerance: float = TOLERANCE) -> List[str]:
+def run_check_serving(quick: bool = False) -> List[str]:
     from benchmarks.bench_serving import run_benchmark as run_serving_benchmark
 
     baseline = load_serving_baseline()
@@ -208,7 +206,7 @@ def run_check_serving(quick: bool = False, tolerance: float = TOLERANCE) -> List
         f"{'overload':11s} shed {overload.get('shed', 0)} of {overload.get('submitted', 0)}, "
         f"accepted p99 {overload.get('accepted_p99_ms', 0.0):.0f} ms"
     )
-    return compare_serving(fresh, baseline, tolerance=tolerance)
+    return compare_serving(fresh, baseline)
 
 
 # ----------------------------------------------------------------------
@@ -285,9 +283,7 @@ def load_sampling_baseline(path: Path = SAMPLING_BASELINE_PATH) -> Dict[str, obj
     return json.loads(path.read_text())
 
 
-def compare_sampling(
-    fresh: Dict[str, object], baseline: Dict[str, object], tolerance: float = TOLERANCE
-) -> List[str]:
+def compare_sampling(fresh: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
     """Regression messages for the sampling bench (empty when it holds).
 
     The sampler speedup is checked both against the relative band (like
@@ -299,11 +295,11 @@ def compare_sampling(
 
     failures = []
     speedup = fresh["sampler_speedup"]
-    floor = baseline["sampler_speedup"] * tolerance
+    floor = baseline["sampler_speedup"] * TOLERANCE
     if speedup < floor:
         failures.append(
             f"sampling: sampler speedup {speedup:.2f}x fell below {floor:.2f}x "
-            f"({tolerance:.0%} of committed {baseline['sampler_speedup']:.2f}x)"
+            f"({TOLERANCE:.0%} of committed {baseline['sampler_speedup']:.2f}x)"
         )
     if speedup < SAMPLER_FLOOR:
         failures.append(
@@ -319,7 +315,7 @@ def compare_sampling(
     return failures
 
 
-def run_check_sampling(quick: bool = False, tolerance: float = TOLERANCE) -> List[str]:
+def run_check_sampling(quick: bool = False) -> List[str]:
     from benchmarks.bench_sampling import run_benchmark as run_sampling_benchmark
 
     baseline = load_sampling_baseline()
@@ -330,7 +326,7 @@ def run_check_sampling(quick: bool = False, tolerance: float = TOLERANCE) -> Lis
         f"(peak RSS ratio {fresh['gcn_peak_ratio_10x']:.2f}, "
         f"committed {baseline['gcn_peak_ratio_10x']:.2f})"
     )
-    return compare_sampling(fresh, baseline, tolerance=tolerance)
+    return compare_sampling(fresh, baseline)
 
 
 # ----------------------------------------------------------------------
@@ -344,9 +340,7 @@ def load_streaming_baseline(path: Path = STREAMING_BASELINE_PATH) -> Dict[str, o
     return json.loads(path.read_text())
 
 
-def compare_streaming(
-    fresh: Dict[str, object], baseline: Dict[str, object], tolerance: float = TOLERANCE
-) -> List[str]:
+def compare_streaming(fresh: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
     """Regression messages for the streaming bench (empty when it holds).
 
     Only the invalidation speedup is gated (relative band + absolute
@@ -358,11 +352,11 @@ def compare_streaming(
 
     failures = []
     speedup = fresh["invalidation_speedup"]
-    floor = baseline["invalidation_speedup"] * tolerance
+    floor = baseline["invalidation_speedup"] * TOLERANCE
     if speedup < floor:
         failures.append(
             f"streaming: invalidation speedup {speedup:.2f}x fell below {floor:.2f}x "
-            f"({tolerance:.0%} of committed {baseline['invalidation_speedup']:.2f}x)"
+            f"({TOLERANCE:.0%} of committed {baseline['invalidation_speedup']:.2f}x)"
         )
     if speedup < SPEEDUP_FLOOR:
         failures.append(
@@ -372,7 +366,7 @@ def compare_streaming(
     return failures
 
 
-def run_check_streaming(quick: bool = False, tolerance: float = TOLERANCE) -> List[str]:
+def run_check_streaming(quick: bool = False) -> List[str]:
     from benchmarks.bench_streaming import invalidation_speedup
 
     baseline = load_streaming_baseline()
@@ -384,7 +378,7 @@ def run_check_streaming(quick: bool = False, tolerance: float = TOLERANCE) -> Li
         f"(mean closure {invalidation['mean_rows_refreshed']:.0f} of "
         f"{invalidation['nodes']} rows)"
     )
-    return compare_streaming(fresh, baseline, tolerance=tolerance)
+    return compare_streaming(fresh, baseline)
 
 
 # ----------------------------------------------------------------------
@@ -453,24 +447,18 @@ def main(argv=None) -> int:
         default="all",
         help="which committed baseline(s) to check (default: all)",
     )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=TOLERANCE,
-        help="allowed fraction of the committed speedup (default %(default)s)",
-    )
     args = parser.parse_args(argv)
     failures = []
     if args.bench in ("trainstep", "all"):
-        failures += run_check(quick=args.quick, tolerance=args.tolerance)
+        failures += run_check(quick=args.quick)
     if args.bench in ("serving", "all"):
-        failures += run_check_serving(quick=args.quick, tolerance=args.tolerance)
+        failures += run_check_serving(quick=args.quick)
     if args.bench in ("obs", "all"):
         failures += run_check_obs(quick=args.quick)
     if args.bench in ("sampling", "all"):
-        failures += run_check_sampling(quick=args.quick, tolerance=args.tolerance)
+        failures += run_check_sampling(quick=args.quick)
     if args.bench in ("streaming", "all"):
-        failures += run_check_streaming(quick=args.quick, tolerance=args.tolerance)
+        failures += run_check_streaming(quick=args.quick)
     if args.bench in ("robustness", "all"):
         failures += run_check_robustness(quick=args.quick)
     if failures:

@@ -25,6 +25,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import ConfigError
 from repro.evaluation import (
     HarnessConfig,
     ext_inductive,
@@ -85,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--dtype", choices=["float32", "float64"], default=None,
         help="compute dtype (default float64; float32 is faster)",
-    )
-    run.add_argument(
-        "--fused", action=argparse.BooleanOptionalAction, default=None,
-        help="fused training-step kernels (default on; --no-fused falls back "
-             "to the legacy op-by-op tape — results are bitwise identical)",
     )
     run.add_argument(
         "--sampler", choices=["full", "neighbor"], default="full",
@@ -333,7 +329,6 @@ def _cmd_export(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.datasets import load_dataset
-    from repro.errors import ConfigError
     from repro.serving.artifacts import load_artifact
     from repro.serving.engine import PredictionEngine
     from repro.serving.server import PredictionServer
@@ -375,7 +370,6 @@ def _cmd_deltas(args) -> int:
     import numpy as np
 
     from repro.datasets import load_dataset
-    from repro.errors import ConfigError
     from repro.graph import DeltaLog
     from repro.serving.artifacts import load_artifact
     from repro.serving.engine import PredictionEngine
@@ -531,6 +525,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         return _cmd_report(args)
 
+    try:
+        config = harness_config(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.obs_dir:
         # Enable before the harness runs so graph building, training, and
         # forked workers are all covered by one event log.
@@ -538,26 +537,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         obs.enable(args.obs_dir)
     module, _ = EXPERIMENTS[args.experiment]
-    config = HarnessConfig(
-        scale=args.scale,
-        seeds=tuple(args.seeds),
-        num_base_models=args.base_models,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        hidden=args.hidden,
-        dropout=args.dropout,
-        workers=args.workers,
-        dtype=args.dtype,
-        fused=args.fused,
-        sampler=args.sampler,
-        fanouts=_parse_fanouts(args.fanouts),
-        batch_size=args.batch_size,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        task_retries=args.task_retries,
-        task_timeout=args.task_timeout,
-        obs_dir=args.obs_dir,
-    )
     report = module.run(config)
     print(report.format())
     _maybe_plot(args.experiment, report)
@@ -567,6 +546,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         save_report(report, args.out)
         print(f"\nreport written to {args.out}")
     return 0
+
+
+def harness_config(args: argparse.Namespace) -> HarnessConfig:
+    """The :class:`HarnessConfig` of parsed ``repro run`` arguments;
+    raises :class:`~repro.errors.ConfigError` on a malformed budget."""
+    return HarnessConfig(
+        scale=args.scale,
+        seeds=tuple(args.seeds),
+        num_base_models=args.base_models,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+        hidden=args.hidden,
+        dropout=args.dropout,
+        workers=args.workers,
+        dtype=args.dtype,
+        sampler=args.sampler,
+        fanouts=_parse_fanouts(args.fanouts),
+        batch_size=args.batch_size,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+        task_retries=args.task_retries,
+        task_timeout=args.task_timeout,
+        obs_dir=args.obs_dir,
+    )
 
 
 def _parse_fanouts(spec: str) -> tuple:

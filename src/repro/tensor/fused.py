@@ -27,10 +27,10 @@ parents).  ``tests/tensor/test_gradcheck.py`` verifies both the
 finite-difference correctness and the bitwise parity, and the
 differential suite trains the full model zoo fused-vs-legacy.
 
-The fused path is on by default and can be disabled globally
-(:func:`set_fused_ops`) or lexically (:class:`use_fused_ops`) to fall
-back to the elementary op-by-op tape — the seam the differential tests
-and benchmarks toggle.
+The fused path is always on in training.  :class:`use_fused_ops` scopes
+the one process-level switch back to the elementary op-by-op tape; the
+parity tests use it as their reference and ``bench_trainstep`` as its
+baseline.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.tensor.tensor import ArrayLike, Tensor, _as_array, as_tensor
 
 __all__ = [
     "fused_ops_enabled",
-    "set_fused_ops",
     "use_fused_ops",
     "softmax_cross_entropy",
     "linear",
@@ -55,8 +54,9 @@ __all__ = [
 ]
 
 # Whether the layers/losses that have a fused formulation use it.  On by
-# default; the legacy op-by-op tape stays available for differential
-# testing (the two are bitwise identical, so this is a pure perf knob).
+# default; the elementary op-by-op tape stays reachable through
+# use_fused_ops(False) as the parity reference (the two are bitwise
+# identical, so this is a pure perf switch).
 _FUSED_ENABLED = True
 
 
@@ -65,32 +65,21 @@ def fused_ops_enabled() -> bool:
     return _FUSED_ENABLED
 
 
-def set_fused_ops(enabled: bool) -> bool:
-    """Globally enable/disable fused kernels; returns the previous state."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    return previous
-
-
 class use_fused_ops:
-    """Context manager scoping the fused-kernel switch.
+    """Context manager setting the fused-kernel switch for its body."""
 
-    ``use_fused_ops(None)`` is a no-op, which lets trainers thread an
-    optional override without branching.
-    """
-
-    def __init__(self, enabled: Optional[bool] = True):
-        self._enabled = enabled
+    def __init__(self, enabled: bool):
+        self._enabled = bool(enabled)
 
     def __enter__(self) -> "use_fused_ops":
+        global _FUSED_ENABLED
         self._previous = _FUSED_ENABLED
-        if self._enabled is not None:
-            set_fused_ops(self._enabled)
+        _FUSED_ENABLED = self._enabled
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        set_fused_ops(self._previous)
+        global _FUSED_ENABLED
+        _FUSED_ENABLED = self._previous
         return False
 
 

@@ -9,9 +9,9 @@ batch.  Training cost and the training-pass peak memory then scale with
 
 The loop keeps the full-batch trainer's contract wherever it can: same
 Adam/early-stopping budget, same best-checkpoint restore, the same
-``epoch_callback`` signatures (RDD's reliability refresh plugs in
-unchanged), and a :class:`TrainResult` with identical fields.  Two things
-necessarily differ:
+``epoch_callback`` signature (RDD's reliability refresh plugs in
+unchanged), the same non-finite-loss check, and a :class:`TrainResult`
+with identical fields.  Two things necessarily differ:
 
 * ``loss_fn`` is batch-aware — ``(model, logits, seeds, epoch)`` where
   ``logits`` covers only the (sorted, deduplicated) batch ``seeds``.  It
@@ -29,6 +29,7 @@ tests in ``tests/training/test_sampled.py`` pin that equivalence.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
@@ -45,11 +46,10 @@ from repro.nn.schedules import EarlyStopping
 from repro.sampling import BlockBuilder, ItemSampler, MiniBatch
 from repro.tensor import ops
 from repro.tensor.functional import accuracy, masked_cross_entropy_logits
-from repro.tensor.fused import use_fused_ops
 from repro.tensor.tensor import GradArena, Tensor
 from repro.testing.faults import fault_point
 from repro.training.records import TrainResult
-from repro.training.trainer import Trainer, _callback_wants_logits
+from repro.training.trainer import Trainer
 
 # Batch-aware objective: receives the logits of the sorted/deduplicated
 # batch seeds (row i of ``logits`` is global node ``seeds[i]``).  May
@@ -195,10 +195,10 @@ class SampledTrainer(Trainer):
             Batch-aware objective (see :data:`SampledLossFn`); defaults
             to cross entropy over each batch's training seeds.
         epoch_callback:
-            Same contract as the full-batch trainer: ``(epoch, model)``
-            or ``(epoch, model, eval_logits)``, invoked before the
-            epoch's batches.  Shared eval logits are the latest
-            full-graph evaluation (epoch 0 bootstraps one).
+            Same contract as the full-batch trainer: ``(epoch, model,
+            eval_logits)``, invoked before the epoch's batches, where
+            ``eval_logits`` are the latest full-graph evaluation (epoch 0
+            bootstraps one).
         plan_fn:
             ``epoch -> SamplingPlan`` recomputing the seed pool and
             sampling weights each epoch (runs *after* the callback, so
@@ -213,8 +213,6 @@ class SampledTrainer(Trainer):
         stopper = EarlyStopping(patience=self.patience)
         best_state = model.state_dict()
         history: List[dict] = []
-        wants_logits = epoch_callback is not None and _callback_wants_logits(epoch_callback)
-        share_logits = wants_logits and self.share_eval_forward
         eval_logits = None
 
         shuffle_rng, neighbor_rng = (
@@ -233,20 +231,15 @@ class SampledTrainer(Trainer):
             fanouts=list(fanouts),
             batch_size=self.batch_size,
         )
-        with fit_span, use_fused_ops(self.fused):
+        with fit_span:
             for epoch in range(self.max_epochs):
                 fault_point("trainer:epoch", key=epoch)
                 epochs_run = epoch + 1
                 with obs.span("epoch", epoch=epoch) as epoch_span:
                     if epoch_callback is not None:
-                        if share_logits:
-                            if eval_logits is None:  # bootstrap forward for epoch 0 only
-                                eval_logits = model.predict_logits(graph)
-                            epoch_callback(epoch, model, eval_logits)
-                        elif wants_logits:
-                            epoch_callback(epoch, model, None)
-                        else:
-                            epoch_callback(epoch, model)
+                        if eval_logits is None:  # bootstrap forward for epoch 0 only
+                            eval_logits = model.predict_logits(graph)
+                        epoch_callback(epoch, model, eval_logits)
 
                     plan = plan_fn(epoch) if plan_fn is not None else SamplingPlan(graph.train_index)
                     builder.set_weights(plan.node_weights)
@@ -278,12 +271,18 @@ class SampledTrainer(Trainer):
                                 loss = loss_fn(model, logits, batch.seeds, epoch)
                             if loss is None:  # no applicable loss term in this batch
                                 continue
+                            loss_value = loss.item()
+                            if not math.isfinite(loss_value):
+                                raise TrainingError(
+                                    f"non-finite loss {loss_value} at epoch {epoch}, "
+                                    f"batch {batch_idx}"
+                                )
                             optimizer.zero_grad()
                             arena.backward(loss)
                             optimizer.step()
                             if batch_span:
-                                batch_span.set(loss=loss.item())
-                        epoch_loss += loss.item()
+                                batch_span.set(loss=loss_value)
+                        epoch_loss += loss_value
                         steps += 1
 
                     evaluate = (epoch + 1) % self.eval_every == 0 or epoch + 1 == self.max_epochs

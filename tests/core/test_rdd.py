@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import RDDConfig, RDDTrainer, train_rdd
-from repro.errors import ConfigError
-from repro.models import GAT
+from repro.errors import ConfigError, TrainingError
+from repro.models import GAT, GCN
 from repro.tensor.functional import accuracy
 
 
@@ -38,6 +38,13 @@ class TestConfigValidation:
     def test_bad_distill_mode(self):
         with pytest.raises(ConfigError):
             RDDConfig(distill_mode="nope")
+
+    @pytest.mark.parametrize(
+        "overrides", [{"hidden": 0}, {"patience": 0}, {"dropout": 1.0}, {"dropout": -0.1}]
+    )
+    def test_bad_model_budget(self, overrides):
+        with pytest.raises(ConfigError):
+            RDDConfig(**overrides)
 
     def test_ablation_helpers(self):
         config = RDDConfig(use_l2=False, use_lreg=False, gamma_initial=2.0, beta=3.0)
@@ -89,6 +96,30 @@ class TestTraining:
         trainer = RDDTrainer(small_config(num_base_models=2), model_factory=factory)
         result = trainer.fit(tiny_graph, seed=0)
         assert len(result.base_test_accuracies) == 2
+
+    def test_diverged_student_raises_training_error(self, tiny_graph):
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite loss"):
+            train_rdd(tiny_graph, small_config(num_base_models=2, lr=1e200), seed=0)
+
+    def test_student_runs_two_forwards_per_epoch(self, tiny_graph):
+        # One distilled student, 12 epochs without early stopping: the
+        # refresh reuses the validation forward, so 2 per epoch plus the
+        # epoch-0 bootstrap and the best-checkpoint restore = 26.
+        counts = []
+
+        class CountingGCN(GCN):
+            def forward(self, graph):
+                counts[-1] += 1
+                return super().forward(graph)
+
+        def factory(graph, rng):
+            counts.append(0)
+            return CountingGCN(graph.num_features, graph.num_classes, rng, hidden=8)
+
+        config = small_config(num_base_models=2, max_epochs=12, patience=12)
+        result = RDDTrainer(config, model_factory=factory).fit(tiny_graph, seed=0)
+        assert result.base_results[1].epochs_run == 12
+        assert counts[1] == 26
 
     def test_ensemble_curve_tracks_prefix_accuracy(self, tiny_graph):
         result = train_rdd(tiny_graph, small_config(), seed=0)

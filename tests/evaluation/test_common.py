@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.evaluation.common import (
     PAPER_GAMMA_INITIAL,
     HarnessConfig,
@@ -24,6 +25,14 @@ class TestSeedStatistics:
     def test_std_matches_numpy_sample_std(self):
         values = [0.5, 0.6, 0.8]
         assert std_over_seeds(values) == pytest.approx(np.std(values, ddof=1))
+
+
+class TestHarnessConfigValidation:
+    # The other malformed budgets are covered through `repro run` in
+    # tests/test_io_cli.py; no CLI flag can pass an empty seed list.
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="seeds"):
+            HarnessConfig(seeds=())
 
 
 class TestLoadGraphs:

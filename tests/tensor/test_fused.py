@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.tensor import GradArena, Tensor, fused, ops
-from repro.tensor.fused import fused_ops_enabled, set_fused_ops, use_fused_ops
+from repro.tensor.fused import fused_ops_enabled, use_fused_ops
 from repro.tensor.functional import masked_cross_entropy_logits
 
 RNG = np.random.default_rng(11)
@@ -32,25 +32,10 @@ class TestFusedSwitch:
     def test_default_on(self):
         assert fused_ops_enabled()
 
-    def test_set_returns_previous(self):
-        previous = set_fused_ops(False)
-        try:
-            assert previous is True
-            assert not fused_ops_enabled()
-        finally:
-            set_fused_ops(previous)
-
     def test_context_manager_restores(self):
         with use_fused_ops(False):
             assert not fused_ops_enabled()
         assert fused_ops_enabled()
-
-    def test_context_manager_none_is_noop(self):
-        with use_fused_ops(None):
-            assert fused_ops_enabled()
-        with use_fused_ops(False):
-            with use_fused_ops(None):
-                assert not fused_ops_enabled()
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):

@@ -1,11 +1,31 @@
 """Documentation integrity: the docs must reference real code and files."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _documented_run_commands():
+    """Every ``python -m repro run …`` in a fenced block of the docs, as
+    ``(doc, argv)`` with ``\\`` continuations joined; lines eliding
+    arguments with ``...`` are skipped."""
+    docs = [REPO / "README.md", REPO / "EXPERIMENTS.md", *sorted((REPO / "docs").glob("*.md"))]
+    commands = []
+    for doc in docs:
+        for block in re.findall(r"^```[^\n]*\n(.*?)^```", doc.read_text(), re.M | re.S):
+            for line in re.sub(r"\\\n", " ", block).splitlines():
+                if "..." in line:
+                    continue
+                for tail in re.findall(r"python -m repro (run [^&|;#>]*)", line):
+                    commands.append((doc.relative_to(REPO).as_posix(), shlex.split(tail)))
+    return commands
+
+
+RUN_COMMANDS = _documented_run_commands()
 
 
 class TestDocsExist:
@@ -33,6 +53,19 @@ class TestReadmeReferences:
 
         for symbol in ("cora_like", "RDDConfig", "train_rdd"):
             assert hasattr(repro, symbol)
+
+
+class TestDocumentedRunCommands:
+    def test_docs_show_run_commands(self):
+        assert len(RUN_COMMANDS) >= 5
+
+    @pytest.mark.parametrize(
+        "doc, argv", RUN_COMMANDS, ids=[f"{doc}: {' '.join(argv)}" for doc, argv in RUN_COMMANDS]
+    )
+    def test_command_parses_and_builds_config(self, doc, argv):
+        from repro.cli import build_parser, harness_config
+
+        harness_config(build_parser().parse_args(argv))
 
 
 class TestDesignReferences:

@@ -74,6 +74,27 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table99"])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--hidden", "0"],
+            ["--max-epochs", "0"],
+            ["--patience", "-3"],
+            ["--dropout", "1.5"],
+            ["--batch-size", "0", "--sampler", "neighbor"],
+            ["--scale", "0"],
+            ["--task-retries", "-1"],
+        ],
+        ids=lambda bad: " ".join(bad),
+    )
+    def test_run_rejects_malformed_budget(self, bad, capsys):
+        # A small valid budget first; the malformed flag comes last and wins.
+        small = ["--scale", "0.1", "--seeds", "0", "--base-models", "1", "--max-epochs", "2"]
+        assert main(["run", "table3", *small, *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_run_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "fig1.json"
         code = main([

@@ -22,6 +22,7 @@ from repro.datasets.citation import cora_like
 from repro.evaluation.common import HarnessConfig, load_graphs, run_over_seeds, run_rdd
 from repro.models.base import softmax_rows
 from repro.core import RDDConfig, RDDTrainer
+from repro.tensor.fused import use_fused_ops
 from repro.training import parallel
 from repro.training.trainer import Trainer
 from repro.training.records import results_bitwise_equal
@@ -113,8 +114,9 @@ class TestFusedVsLegacyTraining:
     def test_zoo_trains_bitwise_identical(self, name, graph):
         def train(fused):
             model = make_model(name, graph)
-            trainer = Trainer(max_epochs=8, patience=8, record_history=True, fused=fused)
-            return trainer.fit(model, graph)
+            trainer = Trainer(max_epochs=8, patience=8, record_history=True)
+            with use_fused_ops(fused):
+                return trainer.fit(model, graph)
 
         assert results_bitwise_equal(train(True), train(False))
 
@@ -122,8 +124,9 @@ class TestFusedVsLegacyTraining:
         def run(fused):
             config = RDDConfig(
                 num_base_models=2, max_epochs=6, patience=6, hidden=8,
-                record_history=True, fused=fused,
+                record_history=True,
             )
-            return RDDTrainer(config).fit(graph, seed=0)
+            with use_fused_ops(fused):
+                return RDDTrainer(config).fit(graph, seed=0)
 
         assert results_bitwise_equal(run(True), run(False))

@@ -169,6 +169,11 @@ class TestTrainingLoop:
         visited = np.unique(np.concatenate(seen))
         np.testing.assert_array_equal(visited, np.sort(pool))
 
+    def test_non_finite_loss_raises_naming_epoch_and_batch(self, tiny_graph):
+        trainer = SampledTrainer(fanouts=(5, 5), batch_size=4, lr=1e200, max_epochs=10)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 0, batch 1$"):
+            trainer.fit(make_gcn(tiny_graph), tiny_graph)
+
     def test_record_history(self, tiny_graph):
         result = SampledTrainer(
             fanouts=(3, 3), batch_size=8, max_epochs=3, patience=50, record_history=True

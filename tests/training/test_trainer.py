@@ -66,9 +66,14 @@ class TestCustomization:
         model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
         seen = []
         Trainer(max_epochs=4, min_epochs=1).fit(
-            model, tiny_graph, epoch_callback=lambda e, m: seen.append((e, m is model))
+            model, tiny_graph, epoch_callback=lambda e, m, logits: seen.append((e, m is model))
         )
         assert seen == [(0, True), (1, True), (2, True), (3, True)]
+
+    def test_non_finite_loss_raises_naming_the_epoch(self, tiny_graph):
+        model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="at epoch 1$"):
+            Trainer(lr=1e200, max_epochs=10).fit(model, tiny_graph)
 
     def test_weight_decay_shrinks_weights(self, tiny_graph):
         def norm_after(weight_decay):
