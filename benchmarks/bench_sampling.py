@@ -10,6 +10,10 @@ guarded by ``scripts/check_bench.py --bench sampling``):
    by at least :data:`SAMPLER_FLOOR` on a 10k-seed batch of a
    dense-degree DC-SBM.
 
+   The same graph also times one :meth:`repro.sampling.BlockBuilder.build`
+   per training batch (``block_build``: sampling plus block assembly at
+   batch 512, fanouts 10,10) — recorded, not gated.
+
 2. **Memory-boundedness** — on an SBM graph **10× larger** than the
    repo's largest full-scale bench graph (cora_like: 2708 nodes /
    5278 edges), mini-batch sampled GCN training must peak below
@@ -70,6 +74,9 @@ NUM_CLASSES = 7
 EPOCHS = 3
 BATCH_SIZE = 256
 FANOUTS = (10, 10)
+
+#: Seeds per timed ``BlockBuilder.build`` (the sampled harness's batch).
+BLOCK_BATCH = 512
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +183,34 @@ def sampler_speedup(quick: bool = False) -> Dict[str, object]:
         "vectorized_s": vec_s,
         "loop_s": loop_s,
         "speedup": loop_s / vec_s,
+    }
+
+
+def block_build(quick: bool = False) -> Dict[str, object]:
+    """Median ms per :meth:`BlockBuilder.build` (batch 512, fanouts 10,10)
+    on the sampler graph: sampling plus block assembly, the per-batch
+    host work of sampled training."""
+    from repro.sampling import BlockBuilder
+
+    adjacency = make_sampler_graph()
+    rng = np.random.default_rng(2)
+    builds = 50 if quick else 200
+    batches = [rng.choice(adjacency.shape[0], size=BLOCK_BATCH, replace=False)
+               for _ in range(builds)]
+    builder = BlockBuilder(adjacency, FANOUTS, seed=0)
+    for seeds in batches[:5]:  # warm-up: grow the leased buffers once
+        builder.build(seeds)
+    times = []
+    for seeds in batches:
+        started = time.perf_counter()
+        builder.build(seeds)
+        times.append(time.perf_counter() - started)
+    return {
+        "nodes": int(adjacency.shape[0]),
+        "batch_size": BLOCK_BATCH,
+        "fanouts": list(FANOUTS),
+        "builds": builds,
+        "median_ms": float(np.median(times) * 1e3),
     }
 
 
@@ -291,6 +326,7 @@ def memory_pairs(quick: bool = False) -> Dict[str, object]:
 
 def run_benchmark(quick: bool = False) -> Dict[str, object]:
     sampler = sampler_speedup(quick=quick)
+    blocks = block_build(quick=quick)
     memory = memory_pairs(quick=quick)
     return {
         "base_graph": {"nodes": BASE_NODES, "edges": BASE_EDGES},
@@ -302,6 +338,7 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
             "fanouts": list(FANOUTS),
         },
         "sampler": sampler,
+        "block_build": blocks,
         "memory": memory,
         "sampler_speedup": sampler["speedup"],
         "gcn_peak_ratio_10x": memory["10x"]["gcn_peak_ratio"],

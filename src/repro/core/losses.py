@@ -64,6 +64,9 @@ class RDDLossState:
     # so the recorded training trajectory is bitwise unchanged.
     record_components: bool = False
     components: "dict | None" = None
+    # Scratch global id -> batch row map of sampled_rdd_student_loss,
+    # allocated on first use: once per student fit, never per batch.
+    batch_rows: "np.ndarray | None" = field(default=None, repr=False)
 
 
 def rdd_student_loss(graph: Graph, logits: Tensor, state: RDDLossState) -> Tensor:
@@ -121,23 +124,23 @@ def sampled_rdd_student_loss(
     if local_train.size:
         l1 = masked_cross_entropy_logits(logits, graph.labels[seeds], local_train)
         loss = l1
-    if state.gamma > 0.0 and len(state.distill_index):
-        in_batch = np.isin(state.distill_index, seeds)
-        global_index = state.distill_index[in_batch]
-        if global_index.size:
-            local_index = np.searchsorted(seeds, global_index)
-            l2 = _distill_term(logits, state, k, local_index=local_index,
-                               teacher_index=global_index)
+    use_l2 = state.gamma > 0.0 and len(state.distill_index)
+    use_reg = state.beta > 0.0 and len(state.edge_src)
+    if use_l2 or use_reg:
+        row_map = _batch_row_map(state, graph.num_nodes, seeds)
+    if use_l2:
+        rows, in_batch = _batch_rows(row_map, seeds, state.distill_index)
+        if in_batch.any():
+            l2 = _distill_term(logits, state, k, local_index=rows[in_batch],
+                               teacher_index=state.distill_index[in_batch])
             term = ops.mul(l2, state.gamma)
             loss = term if loss is None else ops.add(loss, term)
-    if state.beta > 0.0 and len(state.edge_src):
-        src_in = np.isin(state.edge_src, seeds)
-        dst_in = np.isin(state.edge_dst, seeds)
+    if use_reg:
+        src_rows, src_in = _batch_rows(row_map, seeds, state.edge_src)
+        dst_rows, dst_in = _batch_rows(row_map, seeds, state.edge_dst)
         both = src_in & dst_in
         if both.any():
-            local_src = np.searchsorted(seeds, state.edge_src[both])
-            local_dst = np.searchsorted(seeds, state.edge_dst[both])
-            lreg = edge_regularization(logits, local_src, local_dst)
+            lreg = edge_regularization(logits, src_rows[both], dst_rows[both])
             term = ops.mul(lreg, state.beta / k)
             loss = term if loss is None else ops.add(loss, term)
     if state.record_components:
@@ -148,6 +151,29 @@ def sampled_rdd_student_loss(
             "total": 0.0 if loss is None else loss.item(),
         }
     return loss
+
+
+def _batch_row_map(state: RDDLossState, num_nodes: int, seeds: np.ndarray) -> np.ndarray:
+    """``state.batch_rows`` with each seed's entry set to its batch row.
+
+    Entries of nodes outside the batch are left stale from earlier
+    batches; :func:`_batch_rows` checks every hit against ``seeds``, so
+    the map needs no reset and the per-batch work is O(batch).
+    """
+    if state.batch_rows is None or len(state.batch_rows) != num_nodes:
+        state.batch_rows = np.zeros(num_nodes, dtype=np.int64)
+    state.batch_rows[seeds] = np.arange(len(seeds))
+    return state.batch_rows
+
+
+def _batch_rows(row_map: np.ndarray, seeds: np.ndarray, ids: np.ndarray):
+    """``(rows, in_batch)``: the batch row of each of ``ids`` and which
+    ids the batch contains — one gather and one equality check per id.
+    ``rows`` is meaningful only where ``in_batch`` is set."""
+    rows = row_map[ids]
+    if len(seeds) == 0:
+        return rows, np.zeros(len(ids), dtype=bool)
+    return rows, seeds.take(rows, mode="clip") == ids
 
 
 def _distill_term(

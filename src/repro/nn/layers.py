@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import fused, ops
-from repro.tensor.sparse import sparse_dense_matmul, sparse_feature_matmul, spmm
+from repro.tensor.sparse import raw_csr, sparse_dense_matmul, sparse_feature_matmul, spmm
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
 FeatureInput = Union[Tensor, np.ndarray, sp.spmatrix]
@@ -189,14 +189,8 @@ class Dropout(Module):
                 if fused.fused_ops_enabled():
                     # The index arrays are reused verbatim from a valid
                     # CSR matrix, so re-validating them in __init__ is
-                    # pure overhead on the train-step hot path; build
-                    # the container directly around them.
-                    out = sp.csr_matrix.__new__(sp.csr_matrix)
-                    out.data = dropped
-                    out.indices = x.indices
-                    out.indptr = x.indptr
-                    out._shape = x.shape
-                    return out
+                    # pure overhead on the train-step hot path.
+                    return raw_csr(dropped, x.indices, x.indptr, x.shape)
                 return sp.csr_matrix(
                     (dropped, x.indices, x.indptr),
                     shape=x.shape,

@@ -24,6 +24,21 @@ corresponding row of the global ``gcn_normalize`` output under
 renumbering.  That identity is what makes the differential tests
 (full-fanout sampled training == full-batch training) meaningful.
 
+Construction cost
+-----------------
+Per-batch work is proportional to the batch, not to the graph, and
+nothing sorts the sampled edges as a whole.  The builder owns one
+scratch array of length ``num_nodes``, allocated once: a global→local
+id map.  Each layer writes the map at its sampled sources and outputs
+before reading it there, so no entry carries over between layers or
+builds and nothing needs resetting.  The map tells the newly reached
+sources apart from the outputs, maps every source to its local column
+with one gather, and each row's self loop and sampled edges are written
+straight into the row's CSR slots, whose columns are then sorted in C.
+Columns within a row are distinct — the builder rejects weighted
+adjacencies, self loops and duplicate entries at construction — so the
+per-row sort is unique.
+
 Memory
 ------
 The three CSR arrays of every block (``data``/``indices``/``indptr``)
@@ -37,13 +52,14 @@ flip side of the lease: **blocks are valid only until the next**
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.sampling.neighbor import NeighborSampler, check_node_ids
+from repro.tensor.sparse import csr_sort_rows, raw_csr
 
 
 @dataclass
@@ -100,30 +116,6 @@ class _ScratchPool:
         return buf[:size]
 
 
-def _raw_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-             shape: Tuple[int, int]) -> sp.csr_matrix:
-    # The arrays are constructed sorted and in-range, so re-validating
-    # them in __init__ is pure overhead on the per-batch hot path; build
-    # the container directly around them (same idiom as the fused
-    # Dropout path in nn/layers.py).
-    out = sp.csr_matrix.__new__(sp.csr_matrix)
-    out.data = data
-    out.indices = indices
-    out.indptr = indptr
-    out._shape = shape
-    return out
-
-
-def _local_ids(input_nodes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Positions of ``queries`` within ``input_nodes`` (vectorized).
-
-    ``input_nodes`` is unique but *not* sorted (outputs occupy the
-    prefix), so map through its argsort instead of a Python dict.
-    """
-    order = np.argsort(input_nodes, kind="stable")
-    return order[np.searchsorted(input_nodes[order], queries)]
-
-
 class BlockBuilder:
     """Builds per-batch normalized Â blocks by layer-wise fanout sampling.
 
@@ -131,7 +123,9 @@ class BlockBuilder:
     ----------
     adjacency:
         Global symmetric adjacency (unweighted, zero diagonal) — the
-        same matrix :func:`gcn_normalize` consumes.
+        same matrix :func:`gcn_normalize` consumes.  A non-square or
+        weighted matrix, a self loop or a duplicate entry raises
+        :class:`GraphError`.
     fanouts:
         Per-layer fanouts ordered from the *output* layer inward:
         ``fanouts[0]`` samples the neighbors of the seeds (the last
@@ -158,14 +152,18 @@ class BlockBuilder:
         if any(f < 1 for f in fanouts):
             raise GraphError(f"fanouts must all be >= 1, got {fanouts}")
         self.fanouts = fanouts
-        self.sampler = NeighborSampler(adjacency, seed=seed, rng=rng, weights=weights)
+        self.sampler = NeighborSampler(
+            _check_adjacency(adjacency), seed=seed, rng=rng, weights=weights
+        )
         # Global D̂^{-1/2} with d̂ = degree + 1, computed with the same
         # float expression as gcn_normalize so block entries can be
         # bitwise equal to the global Â at full fanout.  Row sums equal
-        # structural degrees because repo adjacencies are unweighted.
+        # structural degrees because the adjacency is unweighted.
         self.degrees = np.diff(self.sampler.indptr)
         self.inv_sqrt = 1.0 / np.sqrt(self.degrees + 1.0)
         self._pool = _ScratchPool()
+        # Global -> local id map, allocated once; see "Construction cost".
+        self._local = np.empty(self.sampler.num_nodes, dtype=np.int64)
 
     def set_weights(self, weights: Optional[np.ndarray]) -> None:
         self.sampler.set_weights(weights)
@@ -184,10 +182,21 @@ class BlockBuilder:
     def _build_layer(self, layer: int, current: np.ndarray, fanout: int) -> Block:
         src, _, counts = self.sampler.sample(current, fanout)
         num_out = len(current)
+        num_edges = len(src)
+        local = self._local
 
-        # Input frontier: outputs first, then newly reached sources.
-        new = np.unique(src)
-        new = new[np.isin(new, current, invert=True)]
+        # Input frontier: outputs first, then the newly reached sources
+        # in ascending id order (np.unique(src) minus current).  Sources
+        # outside ``current`` read -1 from the map; of the repeated
+        # writes of such an id exactly one survives, which picks that
+        # id's representative among its repeats.
+        local[src] = -1
+        local[current] = np.arange(num_out)
+        reached = src[local[src] < 0]
+        slots = np.arange(len(reached))
+        local[reached] = slots
+        new = np.sort(reached[local[reached] == slots])
+        local[new] = np.arange(num_out, num_out + len(new))
         input_nodes = np.concatenate([current, new])
 
         # Estimator rescale deg/s per output row; exactly 1.0 when the
@@ -196,30 +205,41 @@ class BlockBuilder:
         deg = self.degrees[current].astype(np.float64)
         rescale = np.divide(deg, counts, out=np.zeros(num_out), where=counts > 0)
 
-        # Flat COO triplets: one self loop per output row + sampled edges.
-        num_edges = len(src)
+        # Row i holds its self loop at indptr[i], then its sampled edges
+        # in sampler order; sorting each row's columns then yields the
+        # canonical CSR.  Written straight into leased buffers.
         total = num_out + num_edges
-        rows = np.concatenate(
-            [np.arange(num_out, dtype=np.int64),
-             np.repeat(np.arange(num_out, dtype=np.int64), counts)]
-        )
-        cols = np.concatenate(
-            [np.arange(num_out, dtype=np.int64), _local_ids(input_nodes, src)]
-        )
-        inv_cur = self.inv_sqrt[current]
-        vals = np.concatenate(
-            [inv_cur * inv_cur,
-             (self.inv_sqrt[src] * np.repeat(inv_cur, counts)) * np.repeat(rescale, counts)]
-        )
-
-        # Canonical CSR (row-major, sorted columns) into leased buffers.
-        order = np.lexsort((cols, rows))
         data = self._pool.take((layer, "data"), total, np.float64)
         indices = self._pool.take((layer, "indices"), total, np.int64)
         indptr = self._pool.take((layer, "indptr"), num_out + 1, np.int64)
-        np.take(vals, order, out=data)
-        np.take(cols, order, out=indices)
         indptr[0] = 0
         np.cumsum(counts + 1, out=indptr[1:])
-        adjacency = _raw_csr(data, indices, indptr, (num_out, len(input_nodes)))
+        rows = np.repeat(np.arange(num_out, dtype=np.int64), counts)
+        edge_slots = np.arange(num_edges, dtype=np.int64) + rows + 1
+        inv_cur = self.inv_sqrt[current]
+        indices[indptr[:-1]] = np.arange(num_out)
+        data[indptr[:-1]] = inv_cur * inv_cur
+        indices[edge_slots] = local[src]
+        data[edge_slots] = (self.inv_sqrt[src] * inv_cur[rows]) * rescale[rows]
+        csr_sort_rows(indptr, indices, data)
+        adjacency = raw_csr(data, indices, indptr, (num_out, len(input_nodes)))
         return Block(input_nodes=input_nodes, output_nodes=current, adjacency=adjacency)
+
+
+def _check_adjacency(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """Enforce the contract block values rely on: a square, unweighted
+    adjacency with zero diagonal and no duplicate entries (so row sums
+    are the structural degrees and no block row repeats a column)."""
+    csr = sp.csr_matrix(adjacency)
+    if csr.shape[0] != csr.shape[1]:
+        raise GraphError(f"adjacency must be square, got shape {csr.shape}")
+    if not csr.has_canonical_format:
+        canonical = csr.copy()
+        canonical.sum_duplicates()
+        if canonical.nnz != csr.nnz:
+            raise GraphError("adjacency has duplicate entries")
+    if not (csr.data == 1).all():
+        raise GraphError("adjacency must be unweighted (every stored entry 1)")
+    if csr.diagonal().any():
+        raise GraphError("adjacency must have a zero diagonal (no self loops)")
+    return csr

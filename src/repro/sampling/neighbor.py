@@ -36,11 +36,14 @@ def check_node_ids(nodes, num_nodes: int, name: str = "nodes") -> np.ndarray:
     """Validate and canonicalize an array of node ids to int64.
 
     Accepts any integer dtype (or a Python int sequence); rejects
-    floating-point inputs and out-of-range ids with a :class:`GraphError`
-    instead of letting a raw ``IndexError`` (or a silently wrapped
-    negative index) escape from the CSR arithmetic.
+    booleans, floating-point inputs and out-of-range ids with a
+    :class:`GraphError` instead of letting a raw ``IndexError`` (or a
+    silently wrapped negative index) escape from the CSR arithmetic.  A
+    boolean mask is refused rather than read as the ids 0 and 1.
     """
     nodes = np.asarray(nodes)
+    if nodes.dtype == bool:
+        raise GraphError(f"{name} must be integer node ids, got booleans")
     if nodes.dtype == object or not np.issubdtype(nodes.dtype, np.integer):
         try:
             converted = nodes.astype(np.int64)

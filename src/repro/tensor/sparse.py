@@ -14,10 +14,57 @@ import scipy.sparse as sp
 from repro.errors import ShapeError
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
-try:  # raw CSR/CSC kernels (same ones scipy's @ dispatches to)
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover - scipy always ships it today
-    _sparsetools = None
+# The raw CSR/CSC kernels scipy's own operators dispatch to.
+from scipy.sparse import _sparsetools
+
+
+def raw_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+            shape: tuple) -> sp.csr_matrix:
+    """A ``csr_matrix`` wrapped directly around ``data/indices/indptr``.
+
+    ``sp.csr_matrix((data, indices, indptr))`` re-validates and may
+    re-cast the arrays, which costs as much as the work itself on the
+    per-batch hot paths.  Callers guarantee the arrays already form a
+    valid CSR structure of ``shape`` (matching index dtypes, in-range
+    columns); nothing is checked or copied.
+    """
+    out = sp.csr_matrix.__new__(sp.csr_matrix)
+    out.data = data
+    out.indices = indices
+    out.indptr = indptr
+    out._shape = shape
+    return out
+
+
+def csr_take_rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """``matrix[rows]`` for a CSR ``matrix`` and an int64 row-id array.
+
+    Runs the same ``csr_row_index`` kernel as scipy's fancy indexing,
+    without its index-dtype negotiation and container validation, so
+    the result has the same ``data``/``indices``/``indptr`` values.
+    Index arrays keep ``matrix``'s index dtype.  ``rows`` must be
+    in range (unchecked).
+    """
+    indptr = matrix.indptr
+    row_nnz = indptr[rows + 1] - indptr[rows]
+    out_indptr = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(row_nnz, out=out_indptr[1:])
+    nnz = int(out_indptr[-1])
+    out_indices = np.empty(nnz, dtype=matrix.indices.dtype)
+    out_data = np.empty(nnz, dtype=matrix.data.dtype)
+    _sparsetools.csr_row_index(
+        len(rows), rows.astype(indptr.dtype, copy=False), indptr, matrix.indices,
+        matrix.data, out_indices, out_data,
+    )
+    return raw_csr(out_data, out_indices, out_indptr, (len(rows), matrix.shape[1]))
+
+
+def csr_sort_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+    """Sort the column indices of every CSR row in place (data follows).
+
+    Rows must not repeat a column, so the per-row order is unique.
+    """
+    _sparsetools.csr_sort_indices(len(indptr) - 1, indptr, indices, data)
 
 
 def sparse_dense_matmul(matrix: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
@@ -33,8 +80,7 @@ def sparse_dense_matmul(matrix: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
     other formats).
     """
     if (
-        _sparsetools is not None
-        and dense.ndim == 2
+        dense.ndim == 2
         and matrix.dtype == dense.dtype
         and dense.flags.c_contiguous
     ):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 import repro.obs as obs
 from repro.errors import TrainingError
@@ -46,6 +47,7 @@ from repro.nn.schedules import EarlyStopping
 from repro.sampling import BlockBuilder, ItemSampler, MiniBatch
 from repro.tensor import ops
 from repro.tensor.functional import accuracy, masked_cross_entropy_logits
+from repro.tensor.sparse import csr_take_rows
 from repro.tensor.tensor import GradArena, Tensor
 from repro.testing.faults import fault_point
 from repro.training.records import TrainResult
@@ -169,7 +171,10 @@ class SampledTrainer(Trainer):
         blocks[i+1].input_nodes``), so the returned logits cover exactly
         ``batch.seeds``.
         """
-        h = graph.features[batch.blocks[0].input_nodes]
+        features, rows = graph.features, batch.blocks[0].input_nodes
+        # Graph keeps sparse features as CSR; gather through the raw
+        # kernel rather than scipy's fancy indexing (same arrays out).
+        h = csr_take_rows(features, rows) if sp.issparse(features) else features[rows]
         last = len(batch.blocks) - 1
         for i, layer in enumerate(model.layers):
             h = model.dropout(h)

@@ -7,6 +7,8 @@ renumbering.  The differential tests (sampled training == full-batch
 training) in ``tests/training/test_sampled.py`` rest on this identity.
 """
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import GraphError
 from repro.graph import build_adjacency
 from repro.graph.normalize import gcn_normalize
-from repro.sampling import BlockBuilder, ItemSampler
+from repro.sampling import BlockBuilder, ItemSampler, sample_adjacent
 
 
 def random_graph(num_nodes, edge_prob, seed):
@@ -138,6 +140,122 @@ class TestFullFanoutParity:
         np.testing.assert_allclose(dense[0], a_hat[0, 0])  # self loop unscaled
         kept = block.input_nodes[1:]
         np.testing.assert_allclose(dense[1:], a_hat[0, kept] * (8.0 / 2.0))
+
+
+def ring(num_nodes=6):
+    return build_adjacency(num_nodes, np.array([[i, (i + 1) % num_nodes] for i in range(num_nodes)]))
+
+
+class TestAdjacencyContract:
+    """The builder rejects adjacencies whose blocks would be wrong."""
+
+    def test_weighted_adjacency_rejected(self):
+        # Weight 3 would give block row [1/3]*3 where gcn_normalize gives
+        # [0.143, 0.429, 0.429].
+        with pytest.raises(GraphError, match="unweighted"):
+            BlockBuilder(ring() * 3.0, (2,))
+
+    def test_self_loops_rejected(self):
+        # A stored diagonal would repeat the self-loop column in the block.
+        with pytest.raises(GraphError, match="diagonal"):
+            BlockBuilder(ring() + sp.eye(6, format="csr"), (2,))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(GraphError, match="square"):
+            BlockBuilder(sp.csr_matrix(np.ones((3, 4))), (2,))
+
+    def test_duplicate_entries_rejected(self):
+        adj = ring().tocsr()
+        dup = sp.csr_matrix(
+            (np.ones(adj.nnz + 1), np.append(adj.indices, adj.indices[-1]),
+             np.append(adj.indptr[:-1], adj.indptr[-1] + 1)),
+            shape=adj.shape,
+        )
+        with pytest.raises(GraphError, match="duplicate"):
+            BlockBuilder(dup, (2,))
+
+
+def reference_blocks(adjacency, fanouts, rng, seeds, weights=None):
+    """Blocks rebuilt from the sampler's edges by plain COO → CSR
+    conversion: the oracle for the builder's scratch-map assembly."""
+    csr = adjacency.tocsr()
+    indptr, indices = csr.indptr.astype(np.int64), csr.indices.astype(np.int64)
+    degrees = np.diff(indptr)
+    inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
+    current = np.unique(seeds)
+    blocks = []
+    for fanout in fanouts:
+        src, dst, counts = sample_adjacent(indptr, indices, current, fanout, rng, weights=weights)
+        input_nodes = np.concatenate([current, np.setdiff1d(src, current)])
+        local = {int(node): i for i, node in enumerate(input_nodes)}
+        num_out = len(current)
+        rows = np.concatenate([np.arange(num_out), np.repeat(np.arange(num_out), counts)])
+        cols = np.concatenate([np.arange(num_out), [local[int(u)] for u in src]]).astype(np.int64)
+        rescale = degrees[dst] / np.repeat(counts, counts)
+        vals = np.concatenate([inv_sqrt[current] * inv_sqrt[current],
+                               (inv_sqrt[src] * inv_sqrt[dst]) * rescale])
+        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(num_out, len(input_nodes))).tocsr()
+        matrix.sort_indices()
+        blocks.append((input_nodes, current, matrix))
+        current = input_nodes
+    return blocks[::-1]
+
+
+def assert_same_block(block, input_nodes, output_nodes, matrix):
+    np.testing.assert_array_equal(block.input_nodes, input_nodes)
+    np.testing.assert_array_equal(block.output_nodes, output_nodes)
+    adj = block.adjacency
+    assert adj.shape == matrix.shape
+    assert adj.data.dtype == matrix.data.dtype
+    assert adj.data.tobytes() == matrix.data.tobytes()
+    np.testing.assert_array_equal(adj.indices, matrix.indices)
+    np.testing.assert_array_equal(adj.indptr, matrix.indptr)
+
+
+class TestReferenceAssembly:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_nodes=st.integers(2, 40),
+        edge_prob=st.floats(0.0, 0.6),
+        graph_seed=st.integers(0, 1000),
+        fanouts=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        weighted=st.booleans(),
+        draw_seed=st.integers(0, 1000),
+    )
+    def test_blocks_equal_coo_oracle(
+        self, num_nodes, edge_prob, graph_seed, fanouts, weighted, draw_seed
+    ):
+        adjacency = random_graph(num_nodes, edge_prob, graph_seed)
+        draws = np.random.default_rng(draw_seed)
+        weights = draws.random(num_nodes) + 0.05 if weighted else None
+        batches = [draws.choice(num_nodes, size=int(draws.integers(1, num_nodes + 1)))
+                   for _ in range(3)]
+        rng = np.random.default_rng(draw_seed + 1)
+        oracle_rng = copy.deepcopy(rng)
+        builder = BlockBuilder(adjacency, fanouts, rng=rng, weights=weights)
+        for seeds in batches:
+            batch = builder.build(seeds)
+            expected = reference_blocks(adjacency, fanouts, oracle_rng, seeds, weights)
+            assert len(batch.blocks) == len(expected)
+            for block, (input_nodes, output_nodes, matrix) in zip(batch.blocks, expected):
+                assert_same_block(block, input_nodes, output_nodes, matrix)
+
+    def test_scratch_maps_do_not_leak_between_builds(self, tiny_graph):
+        adjacency = tiny_graph.adjacency
+        full = int(np.diff(adjacency.indptr).max())
+        first, second = np.array([0, 5, 31, 47]), np.array([5, 12, 13, 40, 59])
+
+        def snapshot(batch):
+            return [(b.input_nodes.copy(), b.output_nodes.copy(), b.adjacency.copy())
+                    for b in batch.blocks]
+
+        reused = BlockBuilder(adjacency, (full, full))
+        reused.build(first)
+        reused.build(second)
+        again = snapshot(reused.build(first))
+        fresh = BlockBuilder(adjacency, (full, full)).build(first)
+        for block, (input_nodes, output_nodes, matrix) in zip(fresh.blocks, again):
+            assert_same_block(block, input_nodes, output_nodes, matrix)
 
 
 class TestItemSampler:

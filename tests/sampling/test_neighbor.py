@@ -5,7 +5,13 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph import build_adjacency
-from repro.sampling import NeighborSampler, check_node_ids, layerwise_neighborhood, sample_adjacent
+from repro.sampling import (
+    BlockBuilder,
+    NeighborSampler,
+    check_node_ids,
+    layerwise_neighborhood,
+    sample_adjacent,
+)
 
 
 def star_graph(leaves=8):
@@ -47,6 +53,17 @@ class TestCheckNodeIds:
 
     def test_empty_is_fine(self):
         assert check_node_ids(np.array([], dtype=np.int64), 10).size == 0
+
+    def test_rejects_boolean_masks(self):
+        # A mask must not be read as the ids 0 and 1.
+        mask = np.array([True, False, True, False, False, False])
+        with pytest.raises(GraphError, match="booleans"):
+            check_node_ids(mask, 10)
+        with pytest.raises(GraphError, match="booleans"):
+            check_node_ids([True, False], 10)
+        ring = build_adjacency(6, np.array([[i, (i + 1) % 6] for i in range(6)]))
+        with pytest.raises(GraphError, match="booleans"):
+            BlockBuilder(ring, (2, 2)).build(mask)
 
 
 class TestSampleAdjacent:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.errors import ShapeError
 from repro.tensor import Tensor
-from repro.tensor.sparse import sparse_feature_matmul, spmm
+from repro.tensor.sparse import csr_sort_rows, csr_take_rows, sparse_feature_matmul, spmm
 
 
 class TestSpmm:
@@ -68,3 +68,27 @@ class TestSparseFeatureMatmul:
     def test_rejects_dense_features(self):
         with pytest.raises(TypeError):
             sparse_feature_matmul(np.ones((3, 3)), Tensor(np.ones((3, 2))))
+
+
+class TestRawCsrHelpers:
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_take_rows_matches_scipy_fancy_indexing(self, index_dtype):
+        matrix = sp.random(30, 12, density=0.3, random_state=3, format="csr")
+        matrix.indices = matrix.indices.astype(index_dtype)
+        matrix.indptr = matrix.indptr.astype(index_dtype)
+        rows = np.array([4, 0, 29, 4, 17, 3], dtype=np.int64)
+        out, expected = csr_take_rows(matrix, rows), matrix[rows]
+        assert out.shape == expected.shape
+        assert out.data.tobytes() == expected.data.tobytes()
+        np.testing.assert_array_equal(out.indices, expected.indices)
+        np.testing.assert_array_equal(out.indptr, expected.indptr)
+        assert out.indices.dtype == out.indptr.dtype == index_dtype
+        assert csr_take_rows(matrix, np.empty(0, dtype=np.int64)).shape == (0, 12)
+
+    def test_sort_rows_orders_columns_within_each_row(self):
+        indptr = np.array([0, 3, 3, 5], dtype=np.int64)
+        indices = np.array([2, 0, 1, 4, 3], dtype=np.int64)
+        data = np.array([20.0, 0.0, 10.0, 24.0, 23.0])
+        csr_sort_rows(indptr, indices, data)
+        np.testing.assert_array_equal(indices, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(data, [0.0, 10.0, 20.0, 23.0, 24.0])
