@@ -1,17 +1,15 @@
-"""Training-step benchmark: fused kernels + gradient arena vs legacy tape.
+"""Training-step benchmark: fused kernels vs the elementary op-by-op tape.
 
 Times the **full taped train step** — forward, backward, optimizer
 update — in two configurations that are bitwise identical in output:
 
-* **legacy** — the op-by-op tape (``use_fused_ops(False)``), plain
-  ``Tensor.backward`` (per-step DFS topological sort), and fresh
-  gradient-buffer allocation on every first accumulation: the training
-  step as it existed before the fused layer;
-* **fused** — the fused kernels (single-node softmax cross entropy,
-  ``linear``, ``gcn_layer``, the validation-free sparse-dropout
-  rebuild) under a :class:`~repro.tensor.tensor.GradArena`: recycled
-  gradient buffers, ``zero_grad(set_to_none=True)``, and the cached
-  backward schedule replay.
+* **legacy** — the op-by-op tape (``use_fused_ops(False)``): the
+  training step as it existed before the fused layer;
+* **fused** — the fused kernels every trainer runs (single-node softmax
+  cross entropy, ``linear``, ``gcn_layer``, in-place-mask ``dropout``,
+  the validation-free sparse-dropout rebuild).
+
+Both run the plain ``Tensor.backward`` and ``zero_grad(set_to_none=True)``.
 
 Workloads span the regimes the distillation pipeline hits:
 
@@ -21,26 +19,31 @@ Workloads span the regimes the distillation pipeline hits:
   a modest slice.
 * ``deep_dense`` — a 3-layer DenseGCN with a dense running state (the
   Table-5 deep-model regime).  Many taped ops over large dense
-  intermediates: the regime where per-step allocation — feature-sized
-  dropout scratch and first-touch gradient buffers — dominates and the
-  fused+arena path pays off hardest.
+  intermediates: the regime where the tape nodes and feature-sized
+  intermediates the fused kernels remove weigh the most.
 * ``jknet``      — 3-layer jumping-knowledge net, between the two.
 * ``mlp``        — graph-free baseline (fused ``linear`` only).
 
 Every workload asserts fused-vs-legacy bitwise parity on the updated
-parameters before any timing.  Run ``python scripts/bench.py trainstep``
-to write ``BENCH_trainstep.json`` at the repo root;
-``scripts/check_bench.py`` compares a fresh run against the committed
-baseline.  The pytest entries are ``perf``-marked and excluded from
-tier-1.
+parameters, in process, before any timing.  Each configuration is then
+timed in its own freshly spawned interpreter, the two stepping in turn
+and alternating which goes first: timed side by side in one process,
+each path would run under the allocator state the other left behind.
+Run ``python scripts/bench.py trainstep`` to write
+``BENCH_trainstep.json`` at the repo root; ``scripts/check_bench.py``
+compares a fresh run against the committed baseline.  The pytest
+entries are ``perf``-marked and excluded from tier-1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
+import os
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -52,7 +55,6 @@ from repro.models.jknet import JKNet
 from repro.models.mlp import MLP
 from repro.nn.optim import Adam
 from repro.tensor.fused import use_fused_ops
-from repro.tensor.tensor import GradArena
 from repro.training.trainer import supervised_loss
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -74,26 +76,29 @@ WORKLOADS = {
 }
 
 
-def _make_step(graph, factory, arena: Optional[GradArena]):
-    """One full train step (forward + backward + optimizer) as a closure:
-    fused kernels under ``arena``, or the elementary tape with a plain
-    ``backward`` when ``arena`` is None."""
+# Untimed steps a child runs before timing (caches, allocator).
+WARMUP_STEPS = 5
+
+
+def _graph(spec):
+    graph = cora_like(seed=0, scale=spec["scale"])
+    graph.normalized_adjacency()  # pre-normalize outside the timed region
+    return graph
+
+
+def _make_step(graph, factory, fused: bool):
+    """One full train step (forward + backward + optimizer) as a closure,
+    on the fused kernels or on the elementary tape."""
     model = factory(graph, np.random.default_rng(0))
     optimizer = Adam(model.parameters(), lr=0.01, weight_decay=5e-4)
     loss_fn = supervised_loss(graph)
 
     def step(epoch: int) -> None:
-        with use_fused_ops(arena is not None):
+        with use_fused_ops(fused):
             model.train()
-            if arena is None:
-                loss = loss_fn(model, model(graph), epoch)
-                optimizer.zero_grad()
-                loss.backward()
-            else:
-                with arena.record():
-                    loss = loss_fn(model, model(graph), epoch)
-                optimizer.zero_grad()
-                arena.backward(loss)
+            loss = loss_fn(model, model(graph), epoch)
+            optimizer.zero_grad()
+            loss.backward()
             optimizer.step()
 
     return model, step
@@ -101,8 +106,8 @@ def _make_step(graph, factory, arena: Optional[GradArena]):
 
 def _assert_parity(graph, factory, steps: int = 5) -> None:
     """Fused and legacy steps must leave identical parameters behind."""
-    legacy_model, legacy_step = _make_step(graph, factory, arena=None)
-    fused_model, fused_step = _make_step(graph, factory, arena=GradArena())
+    legacy_model, legacy_step = _make_step(graph, factory, fused=False)
+    fused_model, fused_step = _make_step(graph, factory, fused=True)
     for epoch in range(steps):
         legacy_step(epoch)
         fused_step(epoch)
@@ -113,43 +118,69 @@ def _assert_parity(graph, factory, steps: int = 5) -> None:
         assert np.array_equal(a.data, b.data), f"parameter {name_a} diverged"
 
 
-def _best_of(step, repeats: int, epoch_base: int) -> float:
-    """Best-of-N wall time of one train step (min is noise-robust)."""
-    best = float("inf")
-    for offset in range(repeats):
+def _step_server(name: str, fused: bool, cores, conn) -> None:
+    """Child process body: build one path's train step, warm it up, then
+    time one step per epoch number received until ``None`` arrives."""
+    if cores is not None:
+        os.sched_setaffinity(0, cores)
+    spec = WORKLOADS[name]
+    _, step = _make_step(_graph(spec), spec["factory"], fused)
+    for epoch in range(WARMUP_STEPS):
+        step(epoch)
+    conn.send("ready")
+    while (epoch := conn.recv()) is not None:
         start = time.perf_counter()
-        step(epoch_base + offset)
-        best = min(best, time.perf_counter() - start)
-    return best
+        step(epoch)
+        conn.send(time.perf_counter() - start)
 
 
 def bench_workload(name: str, repeats: int = 50) -> Dict[str, float]:
-    spec = WORKLOADS[name]
-    graph = cora_like(seed=0, scale=spec["scale"])
-    graph.normalized_adjacency()  # pre-normalize outside the timed region
-    _assert_parity(graph, spec["factory"])
+    """Best-of-``repeats`` step time of each path.
 
-    # Build each path's step once — the persistent arena is part of what
-    # is being measured (steady-state buffer reuse and the cached
-    # backward schedule only pay off across steps) — then alternate
-    # best-of rounds so machine drift hits both paths equally.
-    _, legacy_step = _make_step(graph, spec["factory"], arena=None)
-    _, fused_step = _make_step(graph, spec["factory"], arena=GradArena())
-    for epoch in range(5):  # warm caches, allocator, cached schedule
-        legacy_step(epoch)
-        fused_step(epoch)
-    rounds = 4
-    per_round = max(1, repeats // rounds)
-    legacy = fused = float("inf")
-    for round_index in range(rounds):
-        epoch_base = 5 + round_index * per_round
-        legacy = min(legacy, _best_of(legacy_step, per_round, epoch_base))
-        fused = min(fused, _best_of(fused_step, per_round, epoch_base))
+    Each path runs in its own spawned interpreter.  The parent steps the
+    two children in turn, alternating which goes first, so both see the
+    same machine drift.  Only one computes at a time, so both are pinned
+    to the same core: on a shared host one core can be persistently
+    slower than another, which would otherwise bias whichever child the
+    scheduler kept there.
+    """
+    spec = WORKLOADS[name]
+    _assert_parity(_graph(spec), spec["factory"])
+
+    context = multiprocessing.get_context("spawn")
+    cores = {min(os.sched_getaffinity(0))} if hasattr(os, "sched_setaffinity") else None
+    conns, children = {}, []
+    try:
+        for fused in (False, True):
+            conns[fused], child_end = context.Pipe()
+            child = context.Process(
+                target=_step_server, args=(name, fused, cores, child_end)
+            )
+            child.start()
+            child_end.close()
+            children.append(child)
+        for conn in conns.values():
+            conn.recv()  # warmed up
+        best = {False: float("inf"), True: float("inf")}
+        for offset in range(repeats):
+            for fused in (False, True) if offset % 2 == 0 else (True, False):
+                conns[fused].send(WARMUP_STEPS + offset)
+                best[fused] = min(best[fused], conns[fused].recv())
+    finally:
+        for conn in conns.values():
+            with contextlib.suppress(OSError):  # the child may already be gone
+                conn.send(None)
+            conn.close()
+        for child in children:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+    legacy, fused_s = best[False], best[True]
     return {
         "scale": spec["scale"],
         "legacy_step_s": legacy,
-        "fused_step_s": fused,
-        "speedup": legacy / fused,
+        "fused_step_s": fused_s,
+        "speedup": legacy / fused_s,
     }
 
 

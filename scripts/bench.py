@@ -6,8 +6,8 @@ Usage::
 
     python scripts/bench.py NAME
 
-where ``NAME`` is one of the benches with a committed baseline: hotpath,
-obs, robustness, sampling, serving, streaming, trainstep.  ``NAME`` is
+where ``NAME`` is one of the benches with a committed baseline: obs,
+robustness, sampling, serving, streaming, trainstep.  ``NAME`` is
 removed from ``sys.argv`` before ``benchmarks.bench_NAME.main``
 runs, so a bench that reads its own arguments sees only the ones after
 it.
@@ -24,7 +24,7 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-BENCHES = ("hotpath", "obs", "robustness", "sampling", "serving", "streaming", "trainstep")
+BENCHES = ("obs", "robustness", "sampling", "serving", "streaming", "trainstep")
 
 
 def main() -> int:

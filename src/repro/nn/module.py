@@ -60,8 +60,8 @@ class Module:
         """Clear gradients on every parameter.
 
         With ``set_to_none`` (the default) the grad arrays are dropped —
-        the next backward allocates (or arena-recycles) fresh buffers —
-        instead of being zero-filled in place.
+        the next backward allocates fresh ones — instead of being
+        zero-filled in place.
         """
         for param in self.parameters():
             param.zero_grad(set_to_none=set_to_none)

@@ -41,9 +41,9 @@ class Optimizer:
         """Clear gradients on all managed parameters.
 
         ``set_to_none=True`` (default) drops the grad arrays rather than
-        zero-filling them; backward then writes into recycled arena
-        buffers, so no time is spent zeroing memory that is about to be
-        overwritten.
+        zero-filling them; backward then copies each first contribution
+        into a fresh array, so no time is spent zeroing memory that is
+        about to be overwritten.
         """
         for param in self.parameters:
             param.zero_grad(set_to_none=set_to_none)

@@ -42,11 +42,10 @@ per-row sort is unique.
 Memory
 ------
 The three CSR arrays of every block (``data``/``indices``/``indptr``)
-are leased from a grow-only scratch pool owned by the builder — the same
-idiom as PR 3's gradient-buffer arena — so steady-state batch
-construction allocates nothing proportional to the block size.  The
-flip side of the lease: **blocks are valid only until the next**
-``build()`` **call on the same builder.**
+are leased from a grow-only scratch pool owned by the builder, so
+steady-state batch construction allocates nothing proportional to the
+block size.  The flip side of the lease: **blocks are valid only until
+the next** ``build()`` **call on the same builder.**
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class MiniBatch:
 
 
 class _ScratchPool:
-    """Grow-only keyed buffer pool (arena idiom, sans gradient machinery).
+    """Grow-only keyed buffer pool.
 
     ``take`` returns a view of a persistent buffer, growing it only when
     a batch needs more room than any previous one.  Lease discipline is

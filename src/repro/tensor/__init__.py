@@ -10,9 +10,11 @@ Public surface:
 * :mod:`repro.tensor.gradcheck` — finite-difference gradient verification;
 * :mod:`repro.tensor.fused` — fused training-step kernels (single-node
   softmax cross entropy, linear, GCN layer, dropout) plus
-  :class:`use_fused_ops`, which scopes the elementary-tape reference;
-* :class:`GradArena` — gradient-buffer arena with a cached backward
-  schedule for structurally static training loops.
+  :class:`use_fused_ops`, which scopes the elementary-tape reference.
+
+Every training step runs the plain :meth:`Tensor.backward`: each
+gradient is a fresh array, so one held from a step is never overwritten
+by the next.
 """
 
 from repro.tensor import functional, fused, ops
@@ -20,7 +22,6 @@ from repro.tensor.fused import fused_ops_enabled, use_fused_ops
 from repro.tensor.gradcheck import check_gradients, numerical_gradient
 from repro.tensor.sparse import sparse_feature_matmul, spmm
 from repro.tensor.tensor import (
-    GradArena,
     Tensor,
     as_tensor,
     default_dtype,
@@ -41,7 +42,6 @@ __all__ = [
     "fused",
     "fused_ops_enabled",
     "use_fused_ops",
-    "GradArena",
     "spmm",
     "sparse_feature_matmul",
     "check_gradients",

@@ -13,9 +13,9 @@ tape node with one forward kernel and one closed-form backward closure:
   (matmul/sparse-matmul + spmm + broadcast add) with a combined backward
   that reuses the cached sparse transposes from
   :mod:`repro.tensor.sparse`;
-* :func:`dropout` — inverted dropout whose draws/mask/output scratch is
-  leased from the recording :class:`~repro.tensor.tensor.GradArena`
-  instead of freshly allocated (the dominant per-step allocation on
+* :func:`dropout` — inverted dropout that builds its keep-mask in place
+  over its uniform draws (two feature-sized allocations per call instead
+  of the elementary op's five — the dominant per-step allocation on
   dense-state models).
 
 Every fused op is **bitwise identical** to the elementary-op chain it
@@ -258,49 +258,32 @@ def gcn_layer(
 
 
 def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout whose scratch arrays are leased from the arena.
+    """Inverted dropout with two feature-sized allocations instead of five.
 
     The arithmetic — and therefore the rng stream and every output bit —
     is identical to :func:`repro.tensor.ops.dropout`; what changes is
-    allocation.  A training-scale dense dropout materialises three
-    feature-sized arrays per call (the uniform draws, the scaled mask,
-    and the output), and on dense-state models those fresh allocations
-    dominate the step.  When a :class:`~repro.tensor.tensor.GradArena`
-    is recording, all three are written into pool buffers with ``out=``
-    ufunc calls instead, so steady-state steps allocate nothing here.
-    Without a recording arena (no buffer lifecycle to lean on) the call
-    defers to the elementary op unchanged.
+    allocation.  The elementary op materialises the uniform draws, a
+    boolean comparison, its float cast, the scaled mask and the output.
+    Here the keep-mask is written in place over the draws with ``out=``
+    ufunc calls, so only the draws and the output are allocated.
     """
-    import repro.tensor.tensor as _tape
-
     a = as_tensor(a)
     if not training or rate <= 0.0:
         return a
-    arena = _tape._RECORDING_ARENA
-    if arena is None:
-        from repro.tensor import ops
-
-        return ops.dropout(a, rate, rng, training=training)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
     # Same dtype rule as the elementary op: float32 activations keep a
     # float32 mask, everything else draws float64.
     dtype = a.data.dtype if a.data.dtype == np.float32 else np.float64
-    draws = arena.take_buffer(a.shape, dtype)
-    if dtype == np.float32:
-        rng.random(out=draws, dtype=np.float32)
-    else:
-        rng.random(out=draws)
+    mask = rng.random(a.shape, dtype=dtype) if dtype == np.float32 else rng.random(a.shape)
     # ``np.less`` into a float buffer writes 0.0/1.0 — the same values
     # ``(draws < keep).astype(dtype)`` produces — and ``np.divide`` with
     # the identical python-float ``keep`` reproduces ``mask / keep``
     # bit for bit (the ``<`` and ``/`` operators call these very ufuncs).
-    mask = arena.take_buffer(a.shape, dtype)
-    np.less(draws, keep, out=mask)
+    np.less(mask, keep, out=mask)
     np.divide(mask, keep, out=mask)
-    out_data = arena.take_buffer(a.shape, dtype)
-    np.multiply(a.data, mask, out=out_data)
+    out_data = a.data * mask
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:

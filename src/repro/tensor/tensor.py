@@ -131,19 +131,6 @@ class default_dtype:
         return False
 
 
-# Active gradient-buffer arena (see :class:`GradArena`).  When set,
-# first-touch gradient accumulation draws reusable buffers from the
-# arena instead of allocating fresh arrays; when None (the default, and
-# everywhere outside a trainer's backward pass) behavior is unchanged.
-_ACTIVE_ARENA: Optional["GradArena"] = None
-
-# Arena currently recording the op tape (set inside ``GradArena.record``
-# scopes).  ``Tensor._make`` appends every tape-wired output to it so the
-# backward schedule can be replayed without re-deriving the topological
-# order when the graph structure is unchanged from the previous step.
-_RECORDING_ARENA: Optional["GradArena"] = None
-
-
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     """Coerce ``value`` to a float ndarray without copying when possible."""
     if dtype is None:
@@ -287,18 +274,15 @@ class Tensor:
                     out.requires_grad = True
                     out._parents = parents
                     out._backward = backward
-                    if _RECORDING_ARENA is not None:
-                        _RECORDING_ARENA._tape.append(out)
                     break
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into this tensor's gradient buffer.
 
-        The first contribution normally allocates a fresh copy; inside a
-        :class:`GradArena`-managed backward pass it is written into a
-        recycled buffer instead (``np.copyto`` then in-place adds — the
-        same values bit for bit, with zero steady-state allocation).
+        The first contribution is copied into a fresh array, so a
+        gradient never aliases an array the caller (or a later backward
+        pass) still holds; later contributions are added in place.
         """
         grad = unbroadcast(grad, self.shape)
         if not isinstance(grad, np.ndarray):
@@ -306,8 +290,7 @@ class Tensor:
             # in-place accumulation needs a writable 0-d array.
             grad = np.asarray(grad)
         if self.grad is None:
-            arena = _ACTIVE_ARENA
-            self.grad = grad.copy() if arena is None else arena._take(grad)
+            self.grad = grad.copy()
         else:
             np.add(self.grad, grad, out=self.grad)
 
@@ -491,225 +474,17 @@ class Tensor:
 
 
 class GradArena:
-    """Gradient-buffer arena + cached backward schedule for train loops.
+    """The backward pass both trainers run: ``backward(loss)``.
 
-    A full-batch training step rebuilds the same (structurally static)
-    op graph every epoch, and the stock backward pass pays for that
-    twice: every tensor's first gradient contribution allocates a fresh
-    array, and every ``backward()`` call re-derives the topological
-    order with a DFS.  The arena removes both costs:
-
-    * **buffer pool** — gradient arrays handed out during one backward
-      pass are reclaimed at the start of the next step and reused (keyed
-      by shape/dtype), so steady-state gradient accumulation allocates
-      nothing.  Combined with ``zero_grad(set_to_none=True)`` semantics
-      (the engine's default) no buffer is ever redundantly zero-filled.
-    * **cached schedule** — ops recorded during a :meth:`record` scope
-      form a creation-order tape; :meth:`backward` derives the DFS
-      topological order once, remembers it as tape positions together
-      with a structural signature (each node's requires-grad parent
-      slots), and replays it directly on later steps whose signature
-      matches.  The replayed order *is* the DFS order, so gradient
-      contributions reach shared parents in the identical sequence and
-      results stay bitwise equal to ``Tensor.backward``.
-
-    Usage (what :class:`repro.training.trainer.Trainer` does)::
-
-        arena = GradArena()
-        for epoch in range(max_epochs):
-            with arena.record():
-                loss = compute_loss(model(graph))
-            optimizer.zero_grad()
-            arena.backward(loss)
-            optimizer.step()
-
-    The arena assumes the gradients of one step are dead once the next
-    ``record()`` scope opens (true after ``optimizer.step()`` has
-    consumed them); reading ``param.grad`` across steps while an arena
-    is in use observes recycled buffers.
+    It is exactly ``loss.backward()``.  The class stays as a named seam
+    because the repository benchmark's tracer (``perfbench/layers.py``)
+    wraps ``GradArena.backward`` by name for its ``tensor.backward``
+    span; it holds no state, so a step keeps nothing alive for the next.
     """
 
-    # Free-pool size cap.  Graphs whose intermediate shapes drift epoch
-    # to epoch (e.g. reliability-filtered edge sets) retire buffers that
-    # will never be reused; once the pool exceeds this budget it is
-    # dropped wholesale (correctness-neutral — only a warm-up cost).
-    # Sized to hold the forward scratch of a full-scale dense model
-    # (three feature-sized buffers per dropout) plus its gradients.
-    MAX_POOL_BYTES = 256 * 1024 * 1024
-
-    def __init__(self) -> None:
-        self._free: dict = {}  # (shape, dtype) -> [ndarray, ...]
-        self._free_bytes = 0
-        self._in_use: List[np.ndarray] = []
-        self._tape: List[Tensor] = []
-        self._cached_signature: Optional[List[tuple]] = None
-        self._cached_root: Optional[int] = None
-        self._cached_schedule: Optional[List[int]] = None
-
-    # -- buffer pool ---------------------------------------------------
-    def _take(self, grad: np.ndarray) -> np.ndarray:
-        """A buffer shaped like ``grad`` holding a copy of its values."""
-        key = (grad.shape, grad.dtype)
-        pool = self._free.get(key)
-        if pool:
-            buffer = pool.pop()
-            self._free_bytes -= buffer.nbytes
-            np.copyto(buffer, grad)
-        else:
-            buffer = grad.copy()
-        self._in_use.append(buffer)
-        return buffer
-
-    def take_buffer(self, shape, dtype) -> np.ndarray:
-        """An uninitialised scratch buffer leased until the next ``record()``.
-
-        Fused forward kernels lease their large per-step intermediates
-        (dropout draws, masks, outputs) from the same pool as gradient
-        buffers, so in steady state the whole train step allocates
-        nothing feature-sized.  The buffer's contents are arbitrary —
-        callers must overwrite it fully — and it is reclaimed, like
-        gradient buffers, when the next :meth:`record` scope opens.
-        """
-        key = (tuple(shape), np.dtype(dtype))
-        pool = self._free.get(key)
-        if pool:
-            buffer = pool.pop()
-            self._free_bytes -= buffer.nbytes
-        else:
-            buffer = np.empty(shape, dtype=dtype)
-        self._in_use.append(buffer)
-        return buffer
-
-    def _reclaim(self) -> None:
-        """Return all handed-out buffers to the free pool."""
-        for buffer in self._in_use:
-            self._free.setdefault((buffer.shape, buffer.dtype), []).append(buffer)
-            self._free_bytes += buffer.nbytes
-        self._in_use.clear()
-        if self._free_bytes > self.MAX_POOL_BYTES:
-            self._free.clear()
-            self._free_bytes = 0
-
-    # -- recording -----------------------------------------------------
-    def record(self) -> "_ArenaRecording":
-        """Scope recording the forward pass's op tape into this arena.
-
-        Entering the scope also reclaims the previous step's gradient
-        buffers (they must no longer be referenced — see class docs).
-        """
-        return _ArenaRecording(self)
-
-    # -- backward ------------------------------------------------------
     def backward(self, output: Tensor) -> None:
-        """Backpropagate from ``output`` using the recorded tape.
-
-        Bitwise-identical to ``output.backward()``; falls back to it
-        transparently (still with buffer reuse) whenever ``output`` was
-        not the product of this arena's latest :meth:`record` scope.
-        """
-        if not output.requires_grad:
-            raise RuntimeError("backward() called on a tensor that does not require grad")
-        if output.size != 1:
-            raise ShapeError(
-                "backward() without an explicit gradient requires a scalar output, "
-                f"got shape {output.shape}"
-            )
-        schedule = self._resolve_schedule(output)
-        if schedule is None:
-            self._fallback(output)
-            return
-        tape = self._tape
-        global _ACTIVE_ARENA
-        previous = _ACTIVE_ARENA
-        _ACTIVE_ARENA = self
-        try:
-            # Mirror Tensor.backward: reset intermediate grads, seed the
-            # output, run the closures in reverse topological order.
-            for position in schedule:
-                tape[position].grad = None
-            output._accumulate(np.ones_like(output.data))
-            for position in reversed(schedule):
-                node = tape[position]
-                if node.grad is not None:
-                    node._backward(node.grad)
-        finally:
-            _ACTIVE_ARENA = previous
-
-    def _resolve_schedule(self, output: Tensor) -> Optional[List[int]]:
-        """Tape positions of the backward nodes in DFS topological order.
-
-        Validates the cached schedule against a structural signature —
-        per tape node, the slots of its requires-grad parents (tape
-        position for recorded intermediates, object identity for leaves
-        such as parameters).  The DFS order is a pure function of that
-        signature plus the root position, so a match guarantees the
-        cached order is exactly what the DFS would produce.
-        """
-        tape = self._tape
-        if not tape:
-            return None
-        positions: dict = {}
-        signature: List[tuple] = []
-        for i, node in enumerate(tape):
-            positions[id(node)] = i
-            signature.append(
-                tuple(
-                    positions.get(id(parent), ~id(parent))
-                    for parent in node._parents
-                    if parent.requires_grad
-                )
-            )
-        root = positions.get(id(output))
-        if root is None:
-            return None
-        if (
-            self._cached_schedule is not None
-            and root == self._cached_root
-            and signature == self._cached_signature
-        ):
-            return self._cached_schedule
-        schedule: List[int] = []
-        for node in output._topological_order():
-            if node._backward is None:
-                continue  # leaves execute nothing
-            position = positions.get(id(node))
-            if position is None:
-                return None  # op recorded outside this tape: stay exact, fall back
-            schedule.append(position)
-        self._cached_signature = signature
-        self._cached_root = root
-        self._cached_schedule = schedule
-        return schedule
-
-    def _fallback(self, output: Tensor) -> None:
-        global _ACTIVE_ARENA
-        previous = _ACTIVE_ARENA
-        _ACTIVE_ARENA = self
-        try:
-            output.backward()
-        finally:
-            _ACTIVE_ARENA = previous
-
-
-class _ArenaRecording:
-    """Context manager activating tape recording for one forward pass."""
-
-    def __init__(self, arena: GradArena):
-        self._arena = arena
-
-    def __enter__(self) -> GradArena:
-        global _RECORDING_ARENA
-        self._previous = _RECORDING_ARENA
-        arena = self._arena
-        arena._reclaim()
-        arena._tape = []
-        _RECORDING_ARENA = arena
-        return arena
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _RECORDING_ARENA
-        _RECORDING_ARENA = self._previous
-        return False
+        """Backpropagate from the scalar ``output`` (``output.backward()``)."""
+        output.backward()
 
 
 def as_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:

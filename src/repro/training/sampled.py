@@ -10,8 +10,8 @@ batch.  Training cost and the training-pass peak memory then scale with
 The loop keeps the full-batch trainer's contract wherever it can: same
 Adam/early-stopping budget, same best-checkpoint restore, the same
 ``epoch_callback`` signature (RDD's reliability refresh plugs in
-unchanged), the same non-finite-loss check, and a :class:`TrainResult`
-with identical fields.  Two things necessarily differ:
+unchanged), the same non-finite loss and gradient checks, and a
+:class:`TrainResult` with identical fields.  Two things necessarily differ:
 
 * ``loss_fn`` is batch-aware — ``(model, logits, seeds, epoch)`` where
   ``logits`` covers only the (sorted, deduplicated) batch ``seeds``.  It
@@ -51,7 +51,7 @@ from repro.tensor.sparse import csr_take_rows
 from repro.tensor.tensor import GradArena, Tensor
 from repro.testing.faults import fault_point
 from repro.training.records import TrainResult
-from repro.training.trainer import Trainer
+from repro.training.trainer import Trainer, check_finite_gradients
 
 # Batch-aware objective: receives the logits of the sorted/deduplicated
 # batch seeds (row i of ``logits`` is global node ``seeds[i]``).  May
@@ -271,9 +271,8 @@ class SampledTrainer(Trainer):
                                 )
                             batch_span = obs.span("sampler:batch", **attrs)
                         with batch_span or _NULL_CONTEXT:
-                            with arena.record():
-                                logits = self._forward_blocks(model, graph, batch)
-                                loss = loss_fn(model, logits, batch.seeds, epoch)
+                            logits = self._forward_blocks(model, graph, batch)
+                            loss = loss_fn(model, logits, batch.seeds, epoch)
                             if loss is None:  # no applicable loss term in this batch
                                 continue
                             loss_value = loss.item()
@@ -284,6 +283,9 @@ class SampledTrainer(Trainer):
                                 )
                             optimizer.zero_grad()
                             arena.backward(loss)
+                            check_finite_gradients(
+                                model, f"at epoch {epoch}, batch {batch_idx}"
+                            )
                             optimizer.step()
                             if batch_span:
                                 batch_span.set(loss=loss_value)

@@ -12,6 +12,8 @@ import math
 import time
 from typing import Callable, Optional
 
+import numpy as np
+
 import repro.obs as obs
 from repro.errors import TrainingError
 from repro.graph.graph import Graph
@@ -43,8 +45,9 @@ class Trainer:
         train/val metrics (used by the examples and diagnostics).
 
     A step whose loss is not finite raises :class:`TrainingError` before
-    its backward pass: a diverged model never reaches early stopping or
-    the caller.
+    its backward pass, and one whose parameter gradients are not finite
+    raises it before the optimizer update: a diverged model never
+    reaches early stopping or the caller.
     """
 
     def __init__(
@@ -97,9 +100,8 @@ class Trainer:
         best_state = model.state_dict()
         history = []
         eval_logits = None
-        # One arena per fit: gradient buffers are recycled step to step,
-        # and — since the per-epoch op graph is structurally static — the
-        # backward schedule is derived once and replayed thereafter.
+        # Stateless: arena.backward(loss) is loss.backward(), named so
+        # the benchmark tracer can time it.
         arena = GradArena()
 
         epochs_run = 0
@@ -115,14 +117,14 @@ class Trainer:
                         epoch_callback(epoch, model, eval_logits)
 
                     model.train()
-                    with arena.record():
-                        logits = model(graph)
-                        loss = loss_fn(model, logits, epoch)
+                    logits = model(graph)
+                    loss = loss_fn(model, logits, epoch)
                     loss_value = loss.item()
                     if not math.isfinite(loss_value):
                         raise TrainingError(f"non-finite loss {loss_value} at epoch {epoch}")
                     optimizer.zero_grad()
                     arena.backward(loss)
+                    check_finite_gradients(model, f"at epoch {epoch}")
                     optimizer.step()
 
                     eval_logits = model.predict_logits(graph)
@@ -152,6 +154,14 @@ class Trainer:
             history=history,
             predictions=predictions,
         )
+
+
+def check_finite_gradients(model: GraphModel, where: str) -> None:
+    """Raise :class:`TrainingError` if any parameter gradient of ``model``
+    holds a NaN or an infinity; ``where`` locates the step in the message."""
+    for name, param in model.named_parameters():
+        if param.grad is not None and not np.isfinite(param.grad).all():
+            raise TrainingError(f"non-finite gradient in {name} {where}")
 
 
 def supervised_loss(graph: Graph) -> LossFn:

@@ -6,6 +6,7 @@ import pytest
 from repro.core import RDDConfig, RDDTrainer, train_rdd
 from repro.errors import ConfigError, TrainingError
 from repro.models import GAT, GCN
+from repro.tensor import ops
 from repro.tensor.functional import accuracy
 
 
@@ -100,6 +101,26 @@ class TestTraining:
     def test_diverged_student_raises_training_error(self, tiny_graph):
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite loss"):
             train_rdd(tiny_graph, small_config(num_base_models=2, lr=1e200), seed=0)
+
+    @pytest.mark.parametrize("sampler", ["full", "neighbor"])
+    def test_nan_gradient_student_raises_training_error(self, tiny_graph, monkeypatch, sampler):
+        import repro.core.rdd as rdd_module
+
+        # Poison both distillation objectives with a term that is exactly
+        # 0 but has a NaN gradient (d(x ** 0.5)/dx at 0, times 0).
+        for name in ("rdd_student_loss", "sampled_rdd_student_loss"):
+            original = getattr(rdd_module, name)
+
+            def poisoned(graph, logits, *args, _original=original):
+                loss = _original(graph, logits, *args)
+                return ops.add(loss, ops.sum(ops.power(ops.mul(logits, 0.0), 0.5)))
+
+            monkeypatch.setattr(rdd_module, name, poisoned)
+        config = small_config(
+            num_base_models=2, sampler=sampler, fanouts=(3, 3), batch_size=10
+        )
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite gradient"):
+            train_rdd(tiny_graph, config, seed=0)
 
     def test_student_runs_two_forwards_per_epoch(self, tiny_graph):
         # One distilled student, 12 epochs without early stopping: the

@@ -1,19 +1,17 @@
-"""Tests for the gradient-buffer arena and the fused-kernel switch.
+"""Tests for the trainers' backward seam and the fused-kernel switch.
 
-The arena promises two things: (1) steady-state training steps reuse
-gradient buffers instead of allocating, and (2) its backward pass —
-including the cached-schedule replay — is bitwise identical to plain
-``Tensor.backward``.  Both are load-bearing: (1) is the perf win, (2) is
-what lets the fused path stay on by default.
+``GradArena.backward`` is the call both trainers make; it must be plain
+``Tensor.backward``, bit for bit, with the same errors.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.tensor import GradArena, Tensor, fused, ops
+from repro.tensor import Tensor, fused, ops
 from repro.tensor.fused import fused_ops_enabled, use_fused_ops
 from repro.tensor.functional import masked_cross_entropy_logits
+from repro.tensor.tensor import GradArena
 
 RNG = np.random.default_rng(11)
 
@@ -54,81 +52,7 @@ class TestGradArenaBackward:
 
     def test_matches_plain_backward_bitwise(self):
         w1, w2, x, labels, index = self._setup()
-        arena = GradArena()
-        with arena.record():
-            loss = small_loss(w1, w2, x, labels, index)
-        arena.backward(loss)
-        arena_grads = [np.array(w1.grad), np.array(w2.grad)]
-
-        w1.zero_grad(), w2.zero_grad()
-        small_loss(w1, w2, x, labels, index).backward()
-        assert np.array_equal(arena_grads[0], w1.grad)
-        assert np.array_equal(arena_grads[1], w2.grad)
-
-    def test_cached_schedule_is_reused_and_stays_correct(self):
-        w1, w2, x, labels, index = self._setup()
-        arena = GradArena()
-        schedules = []
-        for _ in range(3):
-            with arena.record():
-                loss = small_loss(w1, w2, x, labels, index)
-            w1.zero_grad(), w2.zero_grad()
-            arena.backward(loss)
-            schedules.append(arena._cached_schedule)
-        # The identical structure revalidates against the cached order.
-        assert schedules[0] is schedules[1] is schedules[2]
-
-        arena_grads = [np.array(w1.grad), np.array(w2.grad)]
-        w1.zero_grad(), w2.zero_grad()
-        small_loss(w1, w2, x, labels, index).backward()
-        assert np.array_equal(arena_grads[0], w1.grad)
-        assert np.array_equal(arena_grads[1], w2.grad)
-
-    def test_schedule_invalidated_on_structure_change(self):
-        w1, w2, x, labels, index = self._setup()
-        arena = GradArena()
-        with arena.record():
-            loss = small_loss(w1, w2, x, labels, index)
-        arena.backward(loss)
-        first = arena._cached_schedule
-
-        # Different graph: an extra L2 term changes the op structure.
-        with arena.record():
-            loss = ops.add(
-                small_loss(w1, w2, x, labels, index), ops.sum(ops.mul(w2, w2))
-            )
-        w1.zero_grad(), w2.zero_grad()
-        arena.backward(loss)
-        assert arena._cached_schedule is not first
-
-        arena_grads = [np.array(w1.grad), np.array(w2.grad)]
-        w1.zero_grad(), w2.zero_grad()
-        ops.add(small_loss(w1, w2, x, labels, index), ops.sum(ops.mul(w2, w2))).backward()
-        assert np.array_equal(arena_grads[0], w1.grad)
-        assert np.array_equal(arena_grads[1], w2.grad)
-
-    def test_buffers_recycled_across_steps(self):
-        w1, w2, x, labels, index = self._setup()
-        arena = GradArena()
-        with arena.record():
-            loss = small_loss(w1, w2, x, labels, index)
-        arena.backward(loss)
-        first_buffers = {id(w1.grad), id(w2.grad)}
-
-        with arena.record():  # reclaims last step's buffers
-            loss = small_loss(w1, w2, x, labels, index)
-        w1.zero_grad(), w2.zero_grad()
-        arena.backward(loss)
-        second_buffers = {id(w1.grad), id(w2.grad)}
-        # Same shapes, same dtypes: the pool hands the arrays back.
-        assert first_buffers == second_buffers
-
-    def test_fallback_for_loss_built_outside_record(self):
-        w1, w2, x, labels, index = self._setup()
-        arena = GradArena()
-        loss = small_loss(w1, w2, x, labels, index)  # never recorded
-        w1.zero_grad(), w2.zero_grad()
-        arena.backward(loss)  # must fall back to plain backward
+        GradArena().backward(small_loss(w1, w2, x, labels, index))
         arena_grads = [np.array(w1.grad), np.array(w2.grad)]
 
         w1.zero_grad(), w2.zero_grad()
@@ -138,16 +62,12 @@ class TestGradArenaBackward:
 
     def test_non_scalar_output_raises(self):
         w = param((3, 3))
-        arena = GradArena()
-        with arena.record():
-            out = ops.matmul(w, w)
         with pytest.raises(Exception):
-            arena.backward(out)
+            GradArena().backward(ops.matmul(w, w))
 
     def test_no_grad_output_raises(self):
-        arena = GradArena()
         with pytest.raises(RuntimeError):
-            arena.backward(Tensor(1.0))
+            GradArena().backward(Tensor(1.0))
 
 
 class TestZeroGradSemantics:
@@ -208,29 +128,18 @@ class TestFusedLayerDispatch:
 
 
 class TestFusedDropoutArena:
-    def test_scratch_is_leased_and_recycled(self):
-        x = Tensor(RNG.normal(size=(20, 30)))
-        arena = GradArena()
-        with arena.record():
-            fused.dropout(x, 0.5, np.random.default_rng(1))
-        # draws + mask + output, all leased from the arena pool.
-        assert len(arena._in_use) == 3
-        first = {id(buffer) for buffer in arena._in_use}
-        with arena.record():  # reclaims, then the same shapes re-lease
-            fused.dropout(x, 0.5, np.random.default_rng(1))
-        assert {id(buffer) for buffer in arena._in_use} == first
+    """``fused.dropout``'s identity and validation paths (its bitwise
+    parity with ``ops.dropout`` lives in ``test_gradcheck.py``)."""
 
     def test_identity_paths_lease_nothing(self):
         x = Tensor(RNG.normal(size=(4, 4)))
-        arena = GradArena()
-        with arena.record():
-            assert fused.dropout(x, 0.0, np.random.default_rng(1)) is x
-            assert fused.dropout(x, 0.5, np.random.default_rng(1), training=False) is x
-        assert arena._in_use == []
+        rng = np.random.default_rng(1)
+        assert fused.dropout(x, 0.0, rng) is x
+        assert fused.dropout(x, 0.5, rng, training=False) is x
+        # Neither identity path draws from the rng stream.
+        assert rng.random() == np.random.default_rng(1).random()
 
     def test_invalid_rate_raises(self):
         x = Tensor(RNG.normal(size=(4, 4)))
-        arena = GradArena()
-        with arena.record():
-            with pytest.raises(ValueError):
-                fused.dropout(x, 1.0, np.random.default_rng(1))
+        with pytest.raises(ValueError):
+            fused.dropout(x, 1.0, np.random.default_rng(1))

@@ -9,7 +9,7 @@ import pytest
 
 import scipy.sparse as sp
 
-from repro.tensor import GradArena, Tensor, check_gradients, functional, fused, ops
+from repro.tensor import Tensor, check_gradients, functional, fused, ops
 from repro.tensor.fused import use_fused_ops
 from repro.tensor.sparse import sparse_feature_matmul, spmm
 
@@ -238,14 +238,11 @@ class TestFusedOpGradients:
     def test_fused_dropout(self):
         # A fixed-seed rng per evaluation makes the mask deterministic,
         # so finite differencing sees a fixed (masked, rescaled) linear
-        # map.  A fresh arena per call keeps earlier evaluations' leased
-        # buffers alive while the differencing loop still reads them.
+        # map.
         x = param((6, 5))
 
         def forward():
-            arena = GradArena()
-            with arena.record():
-                out = fused.dropout(x, 0.4, np.random.default_rng(17))
+            out = fused.dropout(x, 0.4, np.random.default_rng(17))
             return ops.sum(ops.mul(out, 1.5))
 
         check_gradients(forward, [x])
@@ -333,16 +330,14 @@ class TestFusedBitwiseParity:
         assert np.array_equal(fused_grads[0], legacy_grads[0])
 
     def test_dropout_parity_arena_leased_buffers(self):
-        # Identical seeds give identical rng streams, so the arena-leased
-        # formulation must reproduce the elementary op bit for bit.
+        # Identical seeds give identical rng streams, so the in-place
+        # mask formulation must reproduce the elementary op bit for bit.
         data = RNG.normal(size=(7, 5))
         x_fused = Tensor(data.copy(), requires_grad=True)
         x_legacy = Tensor(data.copy(), requires_grad=True)
-        arena = GradArena()
 
         def fused_build():
-            with arena.record():
-                out = fused.dropout(x_fused, 0.35, np.random.default_rng(23))
+            out = fused.dropout(x_fused, 0.35, np.random.default_rng(23))
             return ops.sum(ops.mul(out, 1.5))
 
         fused_loss, fused_grads = self._grads(fused_build, [x_fused])
@@ -356,8 +351,8 @@ class TestFusedBitwiseParity:
         assert np.array_equal(fused_grads[0], legacy_grads[0])
 
     def test_dropout_without_arena_falls_back(self):
-        # No recording arena: the fused entry point defers to the
-        # elementary op (same rng consumption, same tape node).
+        # Outside any training loop the fused op still matches the
+        # elementary one (same rng consumption, same output).
         x = param((5, 4))
         fused_out = fused.dropout(x, 0.5, np.random.default_rng(3))
         legacy_out = ops.dropout(x, 0.5, np.random.default_rng(3))

@@ -17,6 +17,7 @@ from repro.errors import TrainingError
 from repro.models import MLP, GraphSAGE, JKNet, ResGCN
 from repro.models.gcn import GCN
 from repro.robustness.aggregation import RobustGCN
+from repro.tensor import ops
 from repro.training.sampled import SampledTrainer, SamplingPlan, sampled_supervised_loss
 from repro.training.trainer import Trainer
 
@@ -173,6 +174,24 @@ class TestTrainingLoop:
         trainer = SampledTrainer(fanouts=(5, 5), batch_size=4, lr=1e200, max_epochs=10)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 0, batch 1$"):
             trainer.fit(make_gcn(tiny_graph), tiny_graph)
+
+    def test_non_finite_gradient_raises_naming_epoch_and_batch(self, tiny_graph):
+        base = sampled_supervised_loss(tiny_graph)
+        calls = []
+
+        def loss_fn(model, logits, seeds, epoch):
+            loss = base(model, logits, seeds, epoch)
+            calls.append(epoch)
+            if len(calls) < 2:
+                return loss
+            # Exactly 0, but d(x ** 0.5)/dx at 0 times the 0 of ``* 0`` is NaN.
+            return ops.add(loss, ops.sum(ops.power(ops.mul(logits, 0.0), 0.5)))
+
+        trainer = SampledTrainer(fanouts=(5, 5), batch_size=4, max_epochs=10)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"non-finite gradient in \S+ at epoch 0, batch 1$"
+        ):
+            trainer.fit(make_gcn(tiny_graph), tiny_graph, loss_fn=loss_fn)
 
     def test_record_history(self, tiny_graph):
         result = SampledTrainer(

@@ -6,7 +6,16 @@ import pytest
 from repro.errors import TrainingError
 from repro.models import GCN
 from repro.tensor import Tensor, ops
+from repro.tensor.functional import masked_cross_entropy_logits
 from repro.training import Trainer, make_rng
+from repro.training.sampled import SampledTrainer
+
+
+def nan_gradient_term(logits):
+    """A loss term that is exactly 0 but whose gradient is NaN: the
+    derivative of ``x ** 0.5`` at 0 is infinite, and the chain rule
+    multiplies it by the 0 of ``logits * 0``."""
+    return ops.sum(ops.power(ops.mul(logits, 0.0), 0.5))
 
 
 class TestTrainerBasics:
@@ -75,6 +84,25 @@ class TestCustomization:
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="at epoch 1$"):
             Trainer(lr=1e200, max_epochs=10).fit(model, tiny_graph)
 
+    def test_non_finite_gradient_raises_before_the_update(self, tiny_graph):
+        model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
+        snapshot = []
+
+        def loss_fn(m, logits, epoch):
+            loss = masked_cross_entropy_logits(logits, tiny_graph.labels, tiny_graph.train_index)
+            return ops.add(loss, nan_gradient_term(logits)) if epoch == 1 else loss
+
+        def callback(epoch, m, logits):
+            snapshot[:] = [p.data.copy() for p in m.parameters()]
+
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"non-finite gradient in \S+ at epoch 1$"
+        ):
+            Trainer(max_epochs=5).fit(model, tiny_graph, loss_fn=loss_fn, epoch_callback=callback)
+        # The optimizer never consumed the NaN gradients.
+        for param, before in zip(model.parameters(), snapshot):
+            assert np.array_equal(param.data, before)
+
     def test_weight_decay_shrinks_weights(self, tiny_graph):
         def norm_after(weight_decay):
             model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0),
@@ -83,3 +111,28 @@ class TestCustomization:
             return sum(np.abs(p.data).sum() for p in model.parameters())
 
         assert norm_after(0.05) < norm_after(0.0)
+
+
+class TestHeldGradients:
+    """Every backward writes fresh gradient arrays, so one a caller keeps
+    from a training step is never overwritten by a later step."""
+
+    @pytest.mark.parametrize(
+        "trainer",
+        [Trainer(max_epochs=3), SampledTrainer(fanouts=(3, 3), batch_size=8, max_epochs=3)],
+        ids=["full_batch", "sampled"],
+    )
+    def test_held_gradient_survives_next_backward(self, tiny_graph, trainer):
+        model = GCN(tiny_graph.num_features, tiny_graph.num_classes, make_rng(0), hidden=8)
+        held, intact = [], []
+
+        def callback(epoch, m, logits):
+            # Runs before epoch ``epoch``'s forward: the parameters still
+            # carry the gradients of the previous epoch's last step.
+            if epoch == 1:
+                held.extend((p.grad, p.grad.copy()) for p in m.parameters())
+            elif epoch == 2:
+                intact.extend(np.array_equal(grad, copy) for grad, copy in held)
+
+        trainer.fit(model, tiny_graph, epoch_callback=callback)
+        assert held and intact == [True] * len(held)
