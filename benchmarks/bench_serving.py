@@ -1,35 +1,37 @@
-"""Serving benchmark: batching and overload behavior.
+"""Serving benchmark: the keep-alive HTTP path, and overload behavior.
 
-Measures the serving stack under closed-loop concurrent load — the
-workload an HTTP front end produces — in two regimes:
+Measures the serving stack on the path ``repro serve`` users take, in
+two regimes:
 
-* **unbatched vs batched** — with the logits cache off each lone
-  request pays its own full eval-mode forward; through the
-  :class:`MicroBatcher` concurrent callers coalesce and each batch pays
-  **one** forward shared by up to ``max_batch_size`` requests.  The
-  batched/unbatched ratio is floored at 2.0x.
+* **keep-alive** — an in-process :class:`PredictionServer` over a
+  logits-cached engine, driven by ``CONCURRENCY`` closed-loop callers,
+  each holding one keep-alive ``http.client`` connection and asking for
+  ``NODES_PER_REQUEST`` nodes per request.  Records throughput, p50/p99
+  latency and the mean micro-batch size.  The p50 is capped outright at
+  ``KEEPALIVE_P50_CEILING_MS``: a reply that waits on the client's
+  delayed ACK (Nagle on the server socket) costs ~40 ms by itself.
 * **overload** — submissions far beyond a deliberately tiny admission
-  queue, against the serving path itself: a :class:`MicroBatcher` over
-  a default (logits-cached) engine.  The point is *graceful
-  degradation*: some requests shed (:class:`Overloaded`), every
-  accepted request still answers, and the accepted p99 stays bounded
-  instead of the whole tail collapsing.
+  queue, against a :class:`MicroBatcher` over a default (logits-cached)
+  engine.  The point is *graceful degradation*: some requests shed
+  (:class:`Overloaded`), every accepted request still answers, and the
+  accepted p99 stays bounded instead of the whole tail collapsing.
 
-Batched results are bitwise identical to unbatched ones (asserted
-before any timing).  Run ``python scripts/bench.py serving`` to
-refresh ``BENCH_serving.json``; ``scripts/check_bench.py`` guards it
-against regression.  The pytest entries are ``perf``-marked and
-excluded from tier-1.
+Before any timing, ``return_logits`` replies are asserted bitwise equal
+to ``engine.predict_nodes`` (JSON round-trips float64 exactly).  Run
+``python scripts/bench.py serving`` to refresh ``BENCH_serving.json``;
+``scripts/check_bench.py`` guards it against regression.  The pytest
+entries are ``perf``-marked and excluded from tier-1.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from repro.models.gcn import GCN
 from repro.serving.artifacts import ModelSpec, export_model_artifact
 from repro.serving.batching import MicroBatcher, Overloaded
 from repro.serving.engine import PredictionEngine
-from repro.serving.metrics import ServingMetrics
+from repro.serving.server import PredictionServer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -47,7 +49,12 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_serving.json"
 CONCURRENCY = 8
 NODES_PER_REQUEST = 8
 MAX_BATCH_SIZE = 16
-MAX_WAIT_S = 0.002
+ROUNDS = 5
+
+# Absolute ceiling on the keep-alive p50, whatever the baseline: a
+# cached-table lookup costs well under a millisecond of engine time, so
+# ~40 ms means replies are stalling on delayed ACKs again.
+KEEPALIVE_P50_CEILING_MS = 15.0
 
 OVERLOAD_QUEUE = 64
 
@@ -55,11 +62,9 @@ OVERLOAD_QUEUE = 64
 def _export_bench_model(tmp: Path):
     """Export the benchmark artifact; returns ``(path, graph)``.
 
-    The served model is a 4-layer, width-64 GCN: a production-weight
-    forward (~5 ms on full-scale Cora) so the measurement captures the
-    regime batching exists for — compute-dominated requests — rather
-    than queue ping-pong around a sub-millisecond kernel.  Weights are
-    untrained; serving cost is architecture-, not accuracy-, dependent.
+    The served model is a 4-layer, width-64 GCN on full-scale Cora.
+    Weights are untrained; serving cost is architecture-, not
+    accuracy-, dependent.
     """
     graph = cora_like(seed=0, scale=1.0)
     spec = ModelSpec("gcn", {"hidden": [64, 64, 64], "num_layers": 4})
@@ -73,31 +78,50 @@ def _export_bench_model(tmp: Path):
 
 
 def _make_requests(
-    num_nodes: int, per_thread: int, rng: np.random.Generator, concurrency: int = CONCURRENCY
-) -> List[List[np.ndarray]]:
+    num_nodes: int, per_thread: int, rng: np.random.Generator
+) -> List[List[List[int]]]:
     return [
-        [rng.integers(0, num_nodes, size=NODES_PER_REQUEST) for _ in range(per_thread)]
-        for _ in range(concurrency)
+        [rng.integers(0, num_nodes, size=NODES_PER_REQUEST).tolist() for _ in range(per_thread)]
+        for _ in range(CONCURRENCY)
     ]
 
 
-def _drive(requests: List[List[np.ndarray]], call: Callable[[np.ndarray], np.ndarray]) -> Dict[str, float]:
-    """Closed-loop load: one thread per request list, each issuing its
-    requests back to back; returns throughput + latency percentiles."""
-    concurrency = len(requests)
-    latencies: List[List[float]] = [[] for _ in range(concurrency)]
+def _post(connection: http.client.HTTPConnection, body: dict) -> dict:
+    connection.request(
+        "POST", "/predict", body=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    response = connection.getresponse()
+    payload = json.loads(response.read())
+    if response.status != 200:
+        raise RuntimeError(f"/predict answered {response.status}: {payload}")
+    return payload
+
+
+def _connect(server: PredictionServer) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection(server.host, server.port, timeout=60)
+
+
+def _drive(server: PredictionServer, requests: List[List[List[int]]]) -> Tuple[float, List[float]]:
+    """Closed-loop keep-alive load: one thread and one connection per
+    request list, each issuing its requests back to back; returns the
+    wall time and every request's latency, in seconds."""
+    latencies: List[List[float]] = [[] for _ in requests]
     errors: List[BaseException] = []
 
     def client(thread_index: int) -> None:
+        connection = _connect(server)
         try:
             for nodes in requests[thread_index]:
                 started = time.perf_counter()
-                call(nodes)
+                _post(connection, {"nodes": nodes})
                 latencies[thread_index].append(time.perf_counter() - started)
         except BaseException as error:  # surface in the main thread
             errors.append(error)
+        finally:
+            connection.close()
 
-    threads = [threading.Thread(target=client, args=(i,)) for i in range(concurrency)]
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(len(requests))]
     started = time.perf_counter()
     for thread in threads:
         thread.start()
@@ -106,28 +130,41 @@ def _drive(requests: List[List[np.ndarray]], call: Callable[[np.ndarray], np.nda
     wall = time.perf_counter() - started
     if errors:
         raise errors[0]
-    flat = np.asarray([latency for per_thread in latencies for latency in per_thread])
+    return wall, [latency for per_thread in latencies for latency in per_thread]
+
+
+def _bench_keepalive(server: PredictionServer, num_nodes: int, per_thread: int) -> Dict[str, object]:
+    """``ROUNDS`` closed-loop rounds; throughput is the median round's
+    (one slow round on a shared box cannot move it), latency percentiles
+    pool every request."""
+    rng = np.random.default_rng(11)
+    rates, latencies = [], []
+    for _ in range(ROUNDS):
+        wall, round_latencies = _drive(server, _make_requests(num_nodes, per_thread, rng))
+        rates.append(len(round_latencies) / wall)
+        latencies += round_latencies
     return {
-        "requests": int(flat.size),
-        "wall_s": wall,
-        "rps": float(flat.size / wall),
-        "p50_ms": float(np.percentile(flat, 50) * 1000.0),
-        "p99_ms": float(np.percentile(flat, 99) * 1000.0),
+        "requests": len(latencies),
+        "rps": float(np.median(rates)),
+        "rps_rounds": rates,
+        "p50_ms": float(np.percentile(latencies, 50) * 1000.0),
+        "p99_ms": float(np.percentile(latencies, 99) * 1000.0),
     }
 
 
-def _assert_parity(engine: PredictionEngine, rng: np.random.Generator) -> None:
-    """Batched results must be bitwise identical to unbatched ones."""
-    probes = [rng.integers(0, engine.num_nodes, size=NODES_PER_REQUEST) for _ in range(24)]
-    expected = [engine.predict_nodes(nodes) for nodes in probes]
-    with MicroBatcher(
-        engine.predict_many, max_batch_size=MAX_BATCH_SIZE, max_wait_s=MAX_WAIT_S
-    ) as batcher:
-        futures = [batcher.submit(nodes) for nodes in probes]
-        for future, reference in zip(futures, expected):
-            assert np.array_equal(future.result(timeout=30), reference), (
-                "batched prediction diverged from unbatched"
+def _assert_parity(server: PredictionServer, engine: PredictionEngine,
+                   rng: np.random.Generator) -> None:
+    """Served logits must be bitwise identical to the engine's own."""
+    connection = _connect(server)
+    try:
+        for _ in range(24):
+            nodes = rng.integers(0, engine.num_nodes, size=NODES_PER_REQUEST)
+            reply = _post(connection, {"nodes": nodes.tolist(), "return_logits": True})
+            assert np.array_equal(np.asarray(reply["logits"]), engine.predict_nodes(nodes)), (
+                "served logits diverged from engine.predict_nodes"
             )
+    finally:
+        connection.close()
 
 
 def _bench_overload(path: Path, graph, submitters: int, per_thread: int) -> Dict[str, object]:
@@ -139,8 +176,7 @@ def _bench_overload(path: Path, graph, submitters: int, per_thread: int) -> Dict
     """
     engine = PredictionEngine(path, graph)
     with MicroBatcher(
-        engine.predict_many, max_batch_size=MAX_BATCH_SIZE,
-        max_wait_s=MAX_WAIT_S, max_queue=OVERLOAD_QUEUE,
+        engine.predict_many, max_batch_size=MAX_BATCH_SIZE, max_queue=OVERLOAD_QUEUE
     ) as batcher:
         futures: List = []
         shed = 0
@@ -182,32 +218,17 @@ def _bench_overload(path: Path, graph, submitters: int, per_thread: int) -> Dict
 
 def run_benchmark(quick: bool = False) -> Dict[str, object]:
     # quick trims the request count, never the workload: the measured
-    # ratios must stay comparable to the committed full-run baseline.
+    # numbers must stay comparable to the committed full-run baseline.
     with tempfile.TemporaryDirectory() as tmp:
         path, graph = _export_bench_model(Path(tmp))
-        engine = PredictionEngine(path, graph, cache_logits=False)
-        rng = np.random.default_rng(7)
-        _assert_parity(engine, rng)
-
-        per_thread = 40 if quick else 150
-        # Unbatched: every request pays its own forward (cache is off).
-        unbatched = _drive(
-            _make_requests(engine.num_nodes, per_thread, np.random.default_rng(11)),
-            engine.predict_nodes,
-        )
-        # Batched: concurrent requests coalesce onto shared forwards.
-        metrics = ServingMetrics()
-        with MicroBatcher(
-            engine.predict_many,
-            max_batch_size=MAX_BATCH_SIZE,
-            max_wait_s=MAX_WAIT_S,
-            metrics=metrics,
-        ) as batcher:
-            batched = _drive(
-                _make_requests(engine.num_nodes, per_thread, np.random.default_rng(11)),
-                lambda nodes: batcher.predict(nodes, timeout=60),
-            )
-        batch_summary = metrics.snapshot()["histograms"].get("batch_size", {})
+        engine = PredictionEngine(path, graph)
+        with PredictionServer(engine, port=0, max_batch_size=MAX_BATCH_SIZE).start() as server:
+            _assert_parity(server, engine, np.random.default_rng(7))
+            before = server.metrics.snapshot()["counters"]
+            keepalive = _bench_keepalive(server, engine.num_nodes, 50 if quick else 200)
+            after = server.metrics.snapshot()["counters"]
+        batches = after["batches_total"] - before["batches_total"]
+        requests = after["requests_total"] - before["requests_total"]
 
         # Overload: offered load far beyond a tiny admission queue.
         overload = _bench_overload(
@@ -219,11 +240,8 @@ def run_benchmark(quick: bool = False) -> Dict[str, object]:
         "concurrency": CONCURRENCY,
         "nodes_per_request": NODES_PER_REQUEST,
         "max_batch_size": MAX_BATCH_SIZE,
-        "max_wait_ms": MAX_WAIT_S * 1000.0,
-        "unbatched": unbatched,
-        "batched": batched,
-        "mean_batch_size": batch_summary.get("mean", 1.0),
-        "batched_speedup": batched["rps"] / unbatched["rps"],
+        **{f"keepalive_{name}": value for name, value in keepalive.items()},
+        "mean_batch_size": requests / batches,
         "overload": overload,
     }
 
@@ -240,11 +258,11 @@ def main() -> int:
 # pytest entries (perf-marked; excluded from tier-1)
 # ----------------------------------------------------------------------
 @pytest.mark.perf
-def test_batched_throughput_beats_unbatched():
+def test_keepalive_p50_stays_under_the_ceiling():
     results = run_benchmark(quick=True)
-    assert results["batched_speedup"] >= 2.0, (
-        f"batched serving is only {results['batched_speedup']:.2f}x unbatched "
-        f"at concurrency {CONCURRENCY} (acceptance floor 2.0x)"
+    assert results["keepalive_p50_ms"] <= KEEPALIVE_P50_CEILING_MS, (
+        f"keep-alive p50 is {results['keepalive_p50_ms']:.1f} ms at concurrency "
+        f"{CONCURRENCY} (ceiling {KEEPALIVE_P50_CEILING_MS:.0f} ms)"
     )
     overload = results["overload"]
     assert overload["shed"] > 0, "overload run never shed — queue bound not engaged"

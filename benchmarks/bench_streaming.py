@@ -220,9 +220,7 @@ def freshness_scenario(quick: bool = False) -> Dict[str, object]:
                     latencies.append(elapsed)
 
         refresher = BackgroundRefresher(engine, interval_s=0.01) if eager else None
-        with MicroBatcher(
-            engine.predict_many, max_batch_size=8, max_wait_s=0.001
-        ) as batcher:
+        with MicroBatcher(engine.predict_many, max_batch_size=8) as batcher:
             if refresher is not None:
                 refresher.start()
             threads = [

@@ -1,6 +1,8 @@
 #!/usr/bin/env python
 """HTTP load generator for a running ``repro serve`` instance.
 
+Every client thread keeps one persistent HTTP/1.1 keep-alive connection
+— the path real clients take — and reopens it after a transport error.
 Two traffic shapes, stdlib only:
 
 * **closed loop** (default): ``--concurrency`` client threads each issue
@@ -33,15 +35,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import itertools
 import json
 import random
 import sys
 import threading
 import time
-import urllib.error
 import urllib.request
 from typing import Dict, List, Optional
+from urllib.parse import urlsplit
 
 
 def _get_json(url: str, timeout: float = 10.0) -> dict:
@@ -49,20 +52,21 @@ def _get_json(url: str, timeout: float = 10.0) -> dict:
         return json.loads(response.read())
 
 
-def _post_json(url: str, body: dict, timeout: float = 30.0) -> int:
-    """POST; returns the HTTP status (4xx/5xx included, not raised)."""
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(body).encode("utf-8"),
+def _connect(url: str, timeout: float) -> http.client.HTTPConnection:
+    """One persistent connection to ``url``'s host (opened on first use)."""
+    parts = urlsplit(url)
+    return http.client.HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
+
+
+def _post_json(connection: http.client.HTTPConnection, path: str, body: dict) -> int:
+    """POST on ``connection``; returns the HTTP status (4xx/5xx included)."""
+    connection.request(
+        "POST", path, body=json.dumps(body).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            response.read()
-            return response.status
-    except urllib.error.HTTPError as error:
-        error.read()
-        return error.code
+    response = connection.getresponse()
+    response.read()
+    return response.status
 
 
 class _Tally:
@@ -85,13 +89,15 @@ class _Tally:
                 self.latencies.append(latency)
 
 
-def _fire(url: str, rng: random.Random, nodes_per_request: int, num_nodes: int,
-          tally: _Tally, timeout: float) -> None:
+def _fire(connection: http.client.HTTPConnection, rng: random.Random,
+          nodes_per_request: int, num_nodes: int, tally: _Tally) -> None:
     nodes = [rng.randrange(num_nodes) for _ in range(nodes_per_request)]
     started = time.perf_counter()
     try:
-        status = _post_json(f"{url}/predict", {"nodes": nodes}, timeout=timeout)
-    except (urllib.error.URLError, OSError, ValueError):
+        status = _post_json(connection, "/predict", {"nodes": nodes})
+    except (OSError, http.client.HTTPException, ValueError):
+        # Drop the half-finished exchange; the next request reconnects.
+        connection.close()
         tally.record(None, 0.0)
         return
     tally.record(status, time.perf_counter() - started)
@@ -143,8 +149,12 @@ def run_load(
 
     def client(thread_index: int) -> None:
         rng = random.Random(f"{seed}:{thread_index}")
-        for _ in range(requests_per_thread):
-            _fire(url, rng, nodes_per_request, num_nodes, tally, timeout)
+        connection = _connect(url, timeout)
+        try:
+            for _ in range(requests_per_thread):
+                _fire(connection, rng, nodes_per_request, num_nodes, tally)
+        finally:
+            connection.close()
 
     threads = [threading.Thread(target=client, args=(i,)) for i in range(concurrency)]
     started = time.perf_counter()
@@ -183,15 +193,19 @@ def run_open_loop(
 
     def sender(thread_index: int) -> None:
         rng = random.Random(f"{seed}:{thread_index}")
-        while True:
-            with slot_lock:
-                slot = next(slots)
-            if slot >= total_arrivals:
-                return
-            delay = epoch + slot / rate - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            _fire(url, rng, nodes_per_request, num_nodes, tally, timeout)
+        connection = _connect(url, timeout)
+        try:
+            while True:
+                with slot_lock:
+                    slot = next(slots)
+                if slot >= total_arrivals:
+                    return
+                delay = epoch + slot / rate - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                _fire(connection, rng, nodes_per_request, num_nodes, tally)
+        finally:
+            connection.close()
 
     threads = [threading.Thread(target=sender, args=(i,)) for i in range(concurrency)]
     for thread in threads:

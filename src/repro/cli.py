@@ -171,11 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=None, help="dataset seed override")
     serve.add_argument(
         "--max-batch-size", type=int, default=32,
-        help="largest micro-batch shared by concurrent /predict calls",
-    )
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="how long the batcher holds a request while coalescing (milliseconds)",
+        help="largest micro-batch: /predict lookups that queue while a batch "
+             "computes share the next one (an idle server answers at once)",
     )
     serve.add_argument(
         "--queue-size", type=int, default=1024,
@@ -352,7 +349,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch_size,
-        max_wait_s=args.max_wait_ms / 1000.0,
         max_queue=args.queue_size,
         request_timeout_s=args.request_timeout,
     )

@@ -31,6 +31,7 @@ from repro.core.config import RDDConfig
 from repro.core.ensemble import EnsembleModel, ensemble_weight, uniform_softmax_ensemble
 from repro.core.losses import RDDLossState, rdd_student_loss, sampled_rdd_student_loss
 from repro.core.reliability import edge_reliability, node_reliability, teacher_context
+from repro.errors import TrainingError
 from repro.graph.graph import Graph
 from repro.models.base import GraphModel, softmax_rows
 from repro.models.gcn import GCN
@@ -197,12 +198,15 @@ class RDDTrainer:
             fault_point("rdd:student", key=t)
             model = self._model_factory(graph, rngs[t])
             with obs.span("rdd:student", student=t + 1, seed=seed) as student_span:
-                if t == 0:
-                    # First student: plain supervised GCN (Alg. 3 line 2).
-                    result = trainer.fit(model, graph)
-                else:
-                    result = self._fit_student(trainer, model, graph, teacher,
-                                               edge_src, edge_dst, reliability_history)
+                try:
+                    if t == 0:
+                        # First student: plain supervised GCN (Alg. 3 line 2).
+                        result = trainer.fit(model, graph)
+                    else:
+                        result = self._fit_student(trainer, model, graph, teacher,
+                                                   edge_src, edge_dst, reliability_history)
+                except TrainingError as error:
+                    raise TrainingError(f"student {t + 1}: {error}") from error
                 if student_span:
                     student_span.set(
                         test_accuracy=result.test_accuracy, epochs_run=result.epochs_run

@@ -1,14 +1,13 @@
-"""Micro-batching: concurrent callers share one forward pass.
+"""Micro-batching: concurrent callers share one engine call.
 
-A full-batch GCN computes *every* node's logits in one forward, so ten
-concurrent prediction requests answered independently cost ten forwards
-of which nine are pure waste.  The :class:`MicroBatcher` turns that
-waste into throughput: requests land on a queue, a worker drains up to
-``max_batch_size`` of them (waiting at most ``max_wait_s`` for
-stragglers once the first request of a batch arrives), and hands the
-whole batch to a single ``batch_fn`` call — for the prediction engine,
-:meth:`~repro.serving.engine.PredictionEngine.predict_many`, which pays
-one shared logits-table computation.
+Requests land on a bounded queue.  A free worker takes the request it
+woke on plus everything already queued behind it, up to
+``max_batch_size``, and hands them to one ``batch_fn`` call — for the
+prediction engine, :meth:`~repro.serving.engine.PredictionEngine.predict_many`,
+which answers the batch under one engine-lock acquisition and one table
+read.  Workers never sleep on a timer: a lone request on an idle batcher
+runs at once, and batches form only from requests that arrive while the
+previous batch computes.
 
 Correctness contract:
 
@@ -83,10 +82,6 @@ class MicroBatcher:
         call; must return exactly one result per payload, in order.
     max_batch_size:
         Largest batch handed to ``batch_fn``.
-    max_wait_s:
-        How long a worker holds the first request of a batch while
-        waiting for more to coalesce.  Bounds the latency cost of
-        batching; 0 batches only what is already queued.
     workers:
         Worker threads draining the queue.  One worker maximizes
         coalescing; more help when ``batch_fn`` releases the GIL.
@@ -106,22 +101,18 @@ class MicroBatcher:
         batch_fn: Callable[[Sequence[object]], Sequence[object]],
         *,
         max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
         workers: int = 1,
         max_queue: int = 1024,
         metrics: Optional[ServingMetrics] = None,
     ):
         if max_batch_size < 1:
             raise ReproError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_s < 0:
-            raise ReproError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         if max_queue < 1:
             raise ReproError(f"max_queue must be >= 1, got {max_queue}")
         self.batch_fn = batch_fn
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_s)
         self.max_queue = int(max_queue)
         self.metrics = metrics
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.max_queue)
@@ -250,19 +241,18 @@ class MicroBatcher:
     # Worker side
     # ------------------------------------------------------------------
     def _collect(self, first: _Pending) -> Tuple[List[_Pending], bool]:
-        """Coalesce queued requests behind ``first`` until size or deadline.
+        """``first`` plus whatever is already queued, up to ``max_batch_size``.
 
-        Returns ``(batch, shutdown)``; a sentinel drained mid-batch is
-        consumed by *this* worker (it runs the batch, then exits) rather
-        than reposted — a repost against a full bounded queue would
-        block the worker behind the very backlog it should be draining.
+        Never waits for stragglers.  Returns ``(batch, shutdown)``; a
+        sentinel drained mid-batch is consumed by *this* worker (it runs
+        the batch, then exits) rather than reposted — a repost against a
+        full bounded queue would block the worker behind the very
+        backlog it should be draining.
         """
         batch = [first]
-        deadline = time.monotonic() + self.max_wait_s
         while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
             try:
-                item = self._queue.get(block=remaining > 0, timeout=max(remaining, 0) or None)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:

@@ -6,9 +6,11 @@ no sockets, no queues, just "artifact + graph in, logits out":
 * **transductive** queries (nodes the training graph contains) are
   served from a logits *table* — one eval-mode, tape-free forward pass
   over the whole graph (the full-batch models compute every node's
-  logits in one shot anyway), cached after the first computation.  For
-  RDD ensemble artifacts the table is the α-weighted average of the
-  stored member logits, exactly :meth:`EnsembleModel.embeddings`.
+  logits in one shot anyway), computed once and kept.  For RDD
+  ensemble artifacts the table is the α-weighted average of the stored
+  member logits, exactly :meth:`EnsembleModel.embeddings`.  A lookup is
+  a row gather; :meth:`PredictionEngine.predict_many` answers a whole
+  micro-batch under one lock acquisition and one table read.
 * **inductive** queries (nodes unseen at training time, given as a
   feature vector plus edges into the known graph) build a query
   subgraph around the attachment points — sampled layer-wise
@@ -100,10 +102,6 @@ class PredictionEngine:
         training graph (checked via the stored fingerprint unless
         ``verify_graph=False``); it is cast to the artifact's compute
         dtype and seeded with the artifact's cached ``Â``.
-    cache_logits:
-        Keep the full logits table after the first forward (the
-        transductive fast path).  Disable for benchmark/stateless modes
-        where every batch should pay its own forward.
     fanout:
         Neighbors sampled per hop when building inductive query
         subgraphs.
@@ -121,11 +119,10 @@ class PredictionEngine:
         Base seed for the deterministic per-query neighbor sampling.
     streaming:
         Accept :meth:`apply_delta` and maintain the logits table
-        incrementally (single-model GCN artifacts with
-        ``cache_logits=True`` only).  The table is then computed by the
-        row-pure streaming forward, which can differ from the static
-        table in the last ulp — compare streaming engines with streaming
-        engines.
+        incrementally (single-model GCN artifacts only).  The table is
+        then computed by the row-pure streaming forward, which can
+        differ from the static table in the last ulp — compare streaming
+        engines with streaming engines.
     """
 
     def __init__(
@@ -134,7 +131,6 @@ class PredictionEngine:
         graph: Graph,
         *,
         verify_graph: bool = True,
-        cache_logits: bool = True,
         fanout: int = 10,
         num_hops: Optional[int] = None,
         inductive_cache_size: int = 128,
@@ -143,9 +139,9 @@ class PredictionEngine:
         streaming: bool = False,
     ):
         self._options = dict(
-            verify_graph=verify_graph, cache_logits=cache_logits, fanout=fanout,
-            num_hops=num_hops, inductive_cache_size=inductive_cache_size,
-            hot_cache_size=hot_cache_size, seed=seed, streaming=streaming,
+            verify_graph=verify_graph, fanout=fanout, num_hops=num_hops,
+            inductive_cache_size=inductive_cache_size, hot_cache_size=hot_cache_size,
+            seed=seed, streaming=streaming,
         )
         if not isinstance(artifact, ModelArtifact):
             artifact = load_artifact(artifact)
@@ -164,7 +160,6 @@ class PredictionEngine:
             # own adjacency, not inherit the training graph's.
             graph._normalized = artifact.normalized_adjacency(dtype=artifact.dtype)
         self.graph = graph
-        self.cache_logits = cache_logits
         self.fanout = int(fanout)
         self.seed = int(seed)
         self._table: Optional[np.ndarray] = None
@@ -202,9 +197,6 @@ class PredictionEngine:
                     f"streaming mode needs a single-model GCN artifact, "
                     f"got {self.model_kind!r}"
                 )
-            if not cache_logits:
-                raise ServingError("streaming mode maintains the logits table; "
-                                   "it requires cache_logits=True")
             self._refresher = RowRefresher(self._model, artifact.dtype)
             self._stale = np.zeros(graph.num_nodes, dtype=bool)
             self._base_adjacency = graph.adjacency
@@ -244,8 +236,7 @@ class PredictionEngine:
         cache.
         """
         engine = PredictionEngine(artifact, self.graph, **self._options)
-        if engine.cache_logits:
-            engine.logits_table()
+        engine.logits_table()
         return engine
 
     # ------------------------------------------------------------------
@@ -348,20 +339,17 @@ class PredictionEngine:
     # Transductive path
     # ------------------------------------------------------------------
     def logits_table(self) -> np.ndarray:
-        """Per-node logits over the whole serving graph (cached)."""
+        """Per-node logits over the whole serving graph (computed once)."""
         if self.streaming:
             with self._lock:
                 self._ensure_fresh(None)
                 return self._table
-        if self._table is not None:
-            return self._table
-        if self._ensemble is not None:
-            table = self._ensemble.embeddings()
-        else:
-            table = self._model.predict_logits(self.graph)
-        if self.cache_logits:
-            self._table = table
-        return table
+        if self._table is None:
+            if self._ensemble is not None:
+                self._table = self._ensemble.embeddings()
+            else:
+                self._table = self._model.predict_logits(self.graph)
+        return self._table
 
     def _check_nodes(self, node_ids: NodeIds, name: str = "nodes") -> np.ndarray:
         """``node_ids`` as an int64 array, or :class:`ServingError`.
@@ -417,38 +405,28 @@ class PredictionEngine:
 
     def predict_nodes(self, node_ids: NodeIds) -> np.ndarray:
         """Logits rows for known nodes, shape ``(len(node_ids), k)``."""
-        if self.streaming:
-            return self.predict_nodes_versioned(node_ids)[0]
-        return self.logits_table()[self._check_nodes(node_ids)]
-
-    def predict_nodes_versioned(self, node_ids: NodeIds) -> Tuple[np.ndarray, int]:
-        """Like :meth:`predict_nodes`, plus the graph version answered at.
-
-        The rows and the version are read under one lock hold, so the
-        pair is consistent even while deltas land concurrently — the
-        attribution guarantee the chaos tests check.
-        """
-        with self._lock:
-            nodes = self._check_nodes(node_ids)
-            if self.streaming:
-                self._ensure_fresh(nodes)
-                return self._table[nodes], self._version
-            return self.logits_table()[nodes], self._version
+        return self.predict_many([node_ids])[0]
 
     def predict_many(self, requests: Sequence[NodeIds]) -> List[np.ndarray]:
-        """Answer several node-id requests off **one** shared table.
+        """Answer several node-id requests off **one** table read.
 
-        This is the micro-batcher's batch function: the forward pass (or
-        table lookup) is paid once for the whole batch.  Id validation
-        happens up front so one malformed request cannot waste the
-        batch's forward.
+        This is the micro-batcher's batch function: the engine lock, the
+        streaming freshness check and the table read are paid once for
+        the whole batch, then each request gathers its rows.  Id
+        validation happens up front, so one malformed request fails the
+        batch before any row is gathered (the batcher then isolates it).
         """
         return self.predict_many_versioned(requests)[0]
 
     def predict_many_versioned(
         self, requests: Sequence[NodeIds]
     ) -> Tuple[List[np.ndarray], int]:
-        """Batched :meth:`predict_nodes_versioned`: one table, one version."""
+        """:meth:`predict_many` plus the graph version answered at.
+
+        The rows and the version are read under one lock hold, so the
+        pair is consistent even while deltas land concurrently — the
+        attribution guarantee the chaos tests check.
+        """
         with self._lock:
             checked = [self._check_nodes(request) for request in requests]
             if self.streaming:

@@ -4,9 +4,13 @@ A :class:`PredictionServer` wires the pieces of the serving subsystem
 together along one path — HTTP handler →
 :class:`~repro.serving.batching.MicroBatcher` (the only admission
 queue) → one in-process :class:`~repro.serving.engine.PredictionEngine`
-— plus a :class:`~repro.serving.metrics.ServingMetrics` sink.  The API is JSON
-over ``http.server.ThreadingHTTPServer`` with keep-alive (HTTP/1.1;
-every response carries ``Content-Length``) and these routes:
+— plus a :class:`~repro.serving.metrics.ServingMetrics` sink.  Node
+lookups that arrive while a batch computes are coalesced into the next
+one, which shares a single engine-lock acquisition and table read; an
+idle server answers a lookup at once.  The API is JSON over
+``http.server.ThreadingHTTPServer`` with keep-alive (HTTP/1.1; every
+response carries ``Content-Length``; ``TCP_NODELAY`` so a reply never
+waits on the client's delayed ACK) and these routes:
 
 ``POST /predict``
     ``{"nodes": [0, 5, 9]}`` → transductive logits/labels for known
@@ -75,7 +79,7 @@ class PredictionServer:
         /admin/reload`` replaces it (see :meth:`handle_reload`).
     host / port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`).
-    max_batch_size / max_wait_s / max_queue:
+    max_batch_size / max_queue:
         Micro-batching and admission-control knobs, forwarded to the
         batcher that serves transductive requests.
     request_timeout_s:
@@ -92,7 +96,6 @@ class PredictionServer:
         port: int = 8080,
         *,
         max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
         max_queue: int = 1024,
         request_timeout_s: float = 30.0,
         metrics: Optional[ServingMetrics] = None,
@@ -107,7 +110,6 @@ class PredictionServer:
         self.batcher = MicroBatcher(
             self._predict_many,
             max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
             max_queue=max_queue,
             metrics=self.metrics,
         )
@@ -273,6 +275,10 @@ def _make_handler(server: PredictionServer):
         # Keep-alive: one TCP connection serves many requests.  Safe
         # because every response sets Content-Length explicitly.
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY.  Headers and body go out as two writes; with
+        # Nagle on, the body waits for the client to ACK the headers,
+        # and a keep-alive client delays that ACK by ~40 ms.
+        disable_nagle_algorithm = True
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass  # request logging would swamp test output; metrics cover it

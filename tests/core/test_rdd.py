@@ -122,6 +122,22 @@ class TestTraining:
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="non-finite gradient"):
             train_rdd(tiny_graph, config, seed=0)
 
+    def test_training_error_names_the_student(self, tiny_graph, monkeypatch):
+        import repro.core.rdd as rdd_module
+
+        original = rdd_module.rdd_student_loss
+
+        def poisoned(graph, logits, *args):
+            loss = original(graph, logits, *args)
+            return ops.add(loss, ops.sum(ops.power(ops.mul(logits, 0.0), 0.5)))
+
+        monkeypatch.setattr(rdd_module, "rdd_student_loss", poisoned)
+        # Student 1 is the plain GCN; the first distilled student fails.
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"^student 2: non-finite gradient"
+        ):
+            train_rdd(tiny_graph, small_config(num_base_models=2), seed=0)
+
     def test_student_runs_two_forwards_per_epoch(self, tiny_graph):
         # One distilled student, 12 epochs without early stopping: the
         # refresh reuses the validation forward, so 2 per epoch plus the

@@ -40,7 +40,7 @@ class TestProperties:
     @given(stream=request_stream)
     def test_results_are_bitwise_equal_to_unbatched(self, engine, stream):
         expected = [engine.predict_nodes(nodes) for nodes in stream]
-        with MicroBatcher(engine.predict_many, max_batch_size=8, max_wait_s=0.001) as batcher:
+        with MicroBatcher(engine.predict_many, max_batch_size=8) as batcher:
             futures = [batcher.submit(nodes) for nodes in stream]
             for future, reference in zip(futures, expected):
                 assert np.array_equal(future.result(timeout=10), reference)
@@ -53,7 +53,7 @@ class TestProperties:
         def batch_fn(payloads):
             return [(value, value * 2 + 1) for value in payloads]
 
-        with MicroBatcher(batch_fn, max_batch_size=4, max_wait_s=0.001) as batcher:
+        with MicroBatcher(batch_fn, max_batch_size=4) as batcher:
             futures = [batcher.submit(value) for value in stream]
             for value, future in zip(stream, futures):
                 assert future.result(timeout=10) == (value, value * 2 + 1)
@@ -61,9 +61,7 @@ class TestProperties:
     @relaxed
     @given(stream=request_stream)
     def test_parity_holds_with_multiple_workers(self, engine, stream):
-        with MicroBatcher(
-            engine.predict_many, max_batch_size=4, max_wait_s=0.0, workers=2
-        ) as batcher:
+        with MicroBatcher(engine.predict_many, max_batch_size=4, workers=2) as batcher:
             futures = [batcher.submit(nodes) for nodes in stream]
             for nodes, future in zip(stream, futures):
                 assert np.array_equal(future.result(timeout=10), engine.predict_nodes(nodes))
@@ -84,9 +82,7 @@ class TestConcurrentClients:
         metrics = ServingMetrics()
         mismatches = []
 
-        with MicroBatcher(
-            engine.predict_many, max_batch_size=16, max_wait_s=0.002, metrics=metrics
-        ) as batcher:
+        with MicroBatcher(engine.predict_many, max_batch_size=16, metrics=metrics) as batcher:
 
             def client(index):
                 for nodes, reference in zip(streams[index], expected[index]):
@@ -110,14 +106,32 @@ class TestConcurrentClients:
 # ----------------------------------------------------------------------
 # Fault isolation
 # ----------------------------------------------------------------------
+def _gated(batch_fn):
+    """(gated_fn, entered, release): ``batch_fn`` whose first call parks
+    until ``release`` is set, so requests submitted meanwhile queue up and
+    coalesce deterministically into the next batch."""
+    entered, release = threading.Event(), threading.Event()
+
+    def gated(payloads):
+        if not entered.is_set():
+            entered.set()
+            release.wait(timeout=30)
+        return batch_fn(payloads)
+
+    return gated, entered, release
+
+
 class TestFaultIsolation:
     def test_injected_fault_fails_only_its_own_future(self, engine):
         metrics = ServingMetrics()
-        with inject(FaultPlan().fail("serving:request", key=1)) as plan:
-            with MicroBatcher(
-                engine.predict_many, max_batch_size=8, max_wait_s=0.02, metrics=metrics
-            ) as batcher:
+        gated, entered, release = _gated(engine.predict_many)
+        # Key 0 is the gating request, so key 2 is node 1 below.
+        with inject(FaultPlan().fail("serving:request", key=2)) as plan:
+            with MicroBatcher(gated, max_batch_size=8, metrics=metrics) as batcher:
+                batcher.submit([4])
+                assert entered.wait(timeout=10)
                 futures = [batcher.submit([node]) for node in (0, 1, 2, 3)]
+                release.set()
                 with pytest.raises(WorkerCrash):
                     futures[1].result(timeout=10)
                 for node in (0, 2, 3):
@@ -130,27 +144,34 @@ class TestFaultIsolation:
                 )
         assert plan.fired("serving:request") == 1
         assert metrics.counter("errors_total") == 1
-        assert metrics.counter("requests_total") == 5
+        assert metrics.counter("requests_total") == 6
+        assert metrics.snapshot()["histograms"]["batch_size"]["max"] == 4
 
     def test_malformed_payload_fails_alone_in_a_coalesced_batch(self, engine):
         # predict_many validates up front and raises for the whole batch;
         # the batcher isolates by re-running each request alone, so only
         # the bad payload's future errors.
-        with MicroBatcher(engine.predict_many, max_batch_size=8, max_wait_s=0.05) as batcher:
+        metrics = ServingMetrics()
+        gated, entered, release = _gated(engine.predict_many)
+        with MicroBatcher(gated, max_batch_size=8, metrics=metrics) as batcher:
+            batcher.submit([3])
+            assert entered.wait(timeout=10)
             futures = [batcher.submit(payload) for payload in ([0, 1], [10**6], [2])]
+            release.set()
             with pytest.raises(ServingError):
                 futures[1].result(timeout=10)
             assert np.array_equal(futures[0].result(timeout=10), engine.predict_nodes([0, 1]))
             assert np.array_equal(futures[2].result(timeout=10), engine.predict_nodes([2]))
+        assert metrics.snapshot()["histograms"]["batch_size"]["max"] == 3
 
     def test_single_request_batch_failure_surfaces_directly(self, engine):
-        with MicroBatcher(engine.predict_many, max_batch_size=1, max_wait_s=0.0) as batcher:
+        with MicroBatcher(engine.predict_many, max_batch_size=1) as batcher:
             with pytest.raises(ServingError):
                 batcher.predict([10**6], timeout=10)
             assert np.array_equal(batcher.predict([0], timeout=10), engine.predict_nodes([0]))
 
     def test_miscounting_batch_fn_fails_the_request(self):
-        with MicroBatcher(lambda payloads: [], max_batch_size=1, max_wait_s=0.0) as batcher:
+        with MicroBatcher(lambda payloads: [], max_batch_size=1) as batcher:
             with pytest.raises(ReproError, match="results"):
                 batcher.predict("x", timeout=10)
 
@@ -169,10 +190,7 @@ class TestAdmission:
             release.wait(timeout=30)
             return [p * 2 for p in payloads]
 
-        batcher = MicroBatcher(
-            blocking_batch_fn, max_batch_size=1, max_wait_s=0.0,
-            max_queue=2, metrics=metrics,
-        )
+        batcher = MicroBatcher(blocking_batch_fn, max_batch_size=1, max_queue=2, metrics=metrics)
         try:
             first = batcher.submit(0)  # the worker takes this and blocks
             pause = threading.Event()
@@ -201,7 +219,7 @@ class TestAdmission:
         release = threading.Event()
         batcher = MicroBatcher(
             lambda payloads: (release.wait(timeout=30), payloads)[1],
-            max_batch_size=1, max_wait_s=0.0, max_queue=1,
+            max_batch_size=1, max_queue=1,
         )
         try:
             batcher.submit("a")  # key 0, taken by the worker
@@ -232,7 +250,7 @@ class TestShutdownRaces:
             release.wait(timeout=30)
             return [p for p in payloads]
 
-        batcher = MicroBatcher(blocking_batch_fn, max_batch_size=1, max_wait_s=0.0)
+        batcher = MicroBatcher(blocking_batch_fn, max_batch_size=1)
         first = batcher.submit("a")  # a worker takes this and blocks
         # Wait until the worker is actually inside batch_fn so the rest
         # of the stream stays queued.
@@ -263,7 +281,6 @@ class TestShutdownRaces:
             batcher = MicroBatcher(
                 lambda payloads: [p * 2 for p in payloads],
                 max_batch_size=4,
-                max_wait_s=0.0,
                 workers=2,
             )
             futures, lock = [], threading.Lock()
@@ -308,8 +325,15 @@ class TestLifecycle:
             batcher.submit([0])
         batcher.close()  # idempotent
 
+    def test_lone_request_on_an_idle_batcher_runs_at_once(self):
+        # Dispatch-when-idle: no second arrival is needed to release it.
+        sizes = []
+        with MicroBatcher(lambda payloads: sizes.append(len(payloads)) or payloads) as batcher:
+            assert batcher.predict("a", timeout=10) == "a"
+        assert sizes == [1]
+
     def test_close_drains_inflight_requests(self, engine):
-        batcher = MicroBatcher(engine.predict_many, max_batch_size=4, max_wait_s=0.01)
+        batcher = MicroBatcher(engine.predict_many, max_batch_size=4)
         futures = [batcher.submit([node]) for node in range(6)]
         batcher.close()
         for node, future in enumerate(futures):
@@ -317,8 +341,8 @@ class TestLifecycle:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_batch_size": 0}, {"max_wait_s": -1.0}, {"workers": 0}, {"max_queue": 0}],
-        ids=["batch-size", "wait", "workers", "queue"],
+        [{"max_batch_size": 0}, {"workers": 0}, {"max_queue": 0}],
+        ids=["batch-size", "workers", "queue"],
     )
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ReproError):

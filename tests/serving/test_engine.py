@@ -1,8 +1,8 @@
 """Prediction engine: transductive tables, inductive queries, validation.
 
 The engine's contract is determinism — the same query against the same
-artifact returns bitwise-identical logits, cached or not — plus strict
-request validation (ServingError) and wrong-graph refusal (ArtifactError).
+artifact returns bitwise-identical logits — plus strict request
+validation (ServingError) and wrong-graph refusal (ArtifactError).
 """
 
 import numpy as np
@@ -18,16 +18,6 @@ class TestTransductive:
         nodes = [0, 7, 31, 59]
         expected = gcn_model.predict_logits(tiny_graph)[nodes]
         assert np.array_equal(engine.predict_nodes(nodes), expected)
-
-    def test_cache_on_and_off_are_bitwise_equal(self, gcn_artifact_path, tiny_graph):
-        cached = PredictionEngine(gcn_artifact_path, tiny_graph, cache_logits=True)
-        uncached = PredictionEngine(gcn_artifact_path, tiny_graph, cache_logits=False)
-        nodes = np.arange(tiny_graph.num_nodes)
-        first = cached.predict_nodes(nodes)
-        assert cached._table is not None
-        assert uncached._table is None
-        assert np.array_equal(first, uncached.predict_nodes(nodes))
-        assert np.array_equal(first, cached.predict_nodes(nodes))  # served from cache
 
     def test_predict_many_matches_per_request_calls(self, engine):
         requests = [[0, 1], [5], [59, 30, 2]]

@@ -76,12 +76,6 @@ class TestStreamingConstruction:
         with pytest.raises(ServingError, match="streaming"):
             PredictionEngine(ensemble_artifact_path, tiny_graph, streaming=True)
 
-    def test_requires_cached_logits(self, gcn_artifact_path, tiny_graph):
-        with pytest.raises(ServingError, match="cache_logits"):
-            PredictionEngine(
-                gcn_artifact_path, tiny_graph, streaming=True, cache_logits=False
-            )
-
     def test_static_engine_rejects_apply_delta(self, gcn_artifact_path, tiny_graph):
         engine = PredictionEngine(gcn_artifact_path, tiny_graph)
         with pytest.raises(ServingError, match="streaming=True"):

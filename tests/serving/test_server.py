@@ -84,7 +84,7 @@ _bodies = (
 
 @pytest.fixture(scope="module")
 def server(engine):
-    with PredictionServer(engine, port=0, max_wait_s=0.001).start() as running:
+    with PredictionServer(engine, port=0).start() as running:
         yield running
 
 
@@ -246,7 +246,7 @@ class TestFaultSurvival:
         # A worker-side fault on one request must surface as a clean 500
         # {"error": ...} for that caller only — the batching loop and the
         # server keep answering.
-        with PredictionServer(engine, port=0, max_wait_s=0.0).start() as server:
+        with PredictionServer(engine, port=0).start() as server:
             with inject(FaultPlan().fail("serving:request", key=0)) as plan:
                 status, payload = _call(f"{server.url}/predict", {"nodes": [0]})
                 assert status == 500
@@ -280,9 +280,7 @@ class TestOverload:
         # every request eventually answered, minutes late.  Now the
         # bounded admission queue sheds the excess immediately.
         plan, entered, release = _wedge()
-        with PredictionServer(
-            engine, port=0, max_batch_size=1, max_wait_s=0.0, max_queue=1
-        ).start() as server:
+        with PredictionServer(engine, port=0, max_batch_size=1, max_queue=1).start() as server:
             statuses = []
 
             def post(nodes):
@@ -325,7 +323,7 @@ class TestOverload:
         # frees both with a clean 503.
         plan, entered, release = _wedge()
         with PredictionServer(
-            engine, port=0, max_batch_size=1, max_wait_s=0.0, request_timeout_s=0.3
+            engine, port=0, max_batch_size=1, request_timeout_s=0.3
         ).start() as server:
             try:
                 with inject(plan):
@@ -378,9 +376,7 @@ class TestClientDisconnect:
         # client is certainly gone, so the write deterministically hits a
         # dead socket.
         plan, entered, release = _wedge()
-        with PredictionServer(
-            engine, port=0, max_batch_size=1, max_wait_s=0.0
-        ).start() as server:
+        with PredictionServer(engine, port=0, max_batch_size=1).start() as server:
             with inject(plan):
                 client = socket.create_connection((server.host, server.port), timeout=10)
                 # SO_LINGER(on, 0): close() sends RST, so the server's
@@ -434,6 +430,22 @@ class TestKeepAlive:
         finally:
             connection.close()
 
+    def test_sequential_requests_do_not_stall_on_delayed_acks(self, server):
+        # Regression: with Nagle on, each reply's body waited for the
+        # client's delayed ACK of its headers, ~44 ms per request.
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("POST", "/predict", body=json.dumps({"nodes": [0, 1, 2]}))
+                response = connection.getresponse()
+                assert (response.status, json.loads(response.read())["nodes"]) == (200, [0, 1, 2])
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert np.median(latencies) < 0.020, f"median {np.median(latencies) * 1e3:.1f} ms"
+
 
 def _export_v2(tmp_path, graph):
     """A second (differently seeded) artifact to swap in."""
@@ -453,7 +465,7 @@ class TestAdminReload:
         v2_path = _export_v2(tmp_path, tiny_graph)
         engine_v2 = PredictionEngine(v2_path, tiny_graph)
         engine = PredictionEngine(gcn_artifact_path, tiny_graph)
-        with PredictionServer(engine, port=0, max_wait_s=0.001).start() as server:
+        with PredictionServer(engine, port=0).start() as server:
             status, payload = _call(f"{server.url}/admin/reload", {"artifact": str(v2_path)})
             assert (status, payload) == (200, {"status": "reloaded", "artifact_version": 1})
             assert _call(f"{server.url}/healthz")[1]["artifact_version"] == 1
@@ -476,7 +488,7 @@ class TestAdminReload:
         inductive = {"features": features.tolist(), "neighbors": [3, 4], "return_logits": True}
 
         served = PredictionEngine(gcn_artifact_path, tiny_graph)
-        with PredictionServer(served, port=0, max_wait_s=0.001).start() as server:
+        with PredictionServer(served, port=0).start() as server:
             stop = threading.Event()
             statuses, torn = [], []
 
@@ -569,7 +581,7 @@ class TestEnsembleServer:
         self, ensemble_artifact_path, ensemble, tiny_graph
     ):
         engine = PredictionEngine(ensemble_artifact_path, tiny_graph)
-        with PredictionServer(engine, port=0, max_wait_s=0.001).start() as server:
+        with PredictionServer(engine, port=0).start() as server:
             status, health = _call(f"{server.url}/healthz")
             assert status == 200 and health["model"] == "ensemble[3]"
 

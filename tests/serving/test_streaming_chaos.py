@@ -206,7 +206,7 @@ class TestBatcherUnderDeltas:
             results, version = engine.predict_many_versioned(payloads)
             return [(rows, version) for rows in results]
 
-        with MicroBatcher(batch_fn, max_batch_size=8, max_wait_s=0.001) as batcher:
+        with MicroBatcher(batch_fn, max_batch_size=8) as batcher:
             with BackgroundRefresher(engine, interval_s=0.005):
                 futures = []
                 rng = np.random.default_rng(7)
@@ -232,9 +232,7 @@ class TestBatcherUnderDeltas:
         plan = FaultPlan().fail("serving:refresh", at=None)
         answered = 0
         with inject(plan):
-            with MicroBatcher(
-                engine.predict_many, max_batch_size=4, max_wait_s=0.001
-            ) as batcher:
+            with MicroBatcher(engine.predict_many, max_batch_size=4) as batcher:
                 with BackgroundRefresher(engine, interval_s=0.002):
                     futures = []
                     for delta in delta_sequence:
